@@ -3,7 +3,8 @@
 # once plain, once under AddressSanitizer + UBSan (-DNVSIM_SANITIZE=ON)
 # — then race-check the sweep pool under ThreadSanitizer and verify the
 # parallel/batched engines reproduce the serial output byte-for-byte.
-# Any test failure or sanitizer report fails the script.
+# Any test failure, warning in the plain build (-Werror) or sanitizer
+# report fails the script.
 set -eu
 
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -20,8 +21,13 @@ run_suite() {
     ctest --test-dir "$root/$build_dir" --output-on-failure -j "$jobs"
 }
 
-run_suite build -DNVSIM_SANITIZE=OFF
+# The plain build is warning-clean and must stay so.
+run_suite build -DNVSIM_SANITIZE=OFF -DCMAKE_CXX_FLAGS=-Werror
 run_suite build-asan -DNVSIM_SANITIZE=ON
+
+# The benchmark's own analysis unit tests (perfbench/analysis.py).
+echo "=== perfbench analysis unit tests ==="
+(cd "$root" && python3 -m unittest discover perfbench/tests)
 
 # ThreadSanitizer pass over the concurrency engines: the sweep/shard
 # pool tests plus real bench runs exercising both the inter-run sweep

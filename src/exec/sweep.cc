@@ -36,30 +36,19 @@ SweepRunner::~SweepRunner()
 void
 SweepRunner::workerLoop()
 {
-    std::uint64_t seen = 0;
+    std::unique_lock<std::mutex> lk(m_);
     for (;;) {
-        const std::function<void(std::size_t)> *task = nullptr;
-        std::size_t n = 0;
-        {
-            std::unique_lock<std::mutex> lk(m_);
-            workCv_.wait(lk,
-                         [&] { return stop_ || batchId_ != seen; });
-            if (stop_)
-                return;
-            seen = batchId_;
-            task = task_;
-            n = batchSize_;
-        }
-        for (;;) {
-            std::size_t i =
-                nextIndex_.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n)
-                break;
-            (*task)(i);
-            std::lock_guard<std::mutex> lk(m_);
-            if (++completed_ == n)
-                doneCv_.notify_all();
-        }
+        workCv_.wait(lk,
+                     [&] { return stop_ || nextIndex_ < batchSize_; });
+        if (stop_)
+            return;
+        const std::function<void(std::size_t)> &task = *task_;
+        std::size_t i = nextIndex_++;
+        lk.unlock();
+        task(i);
+        lk.lock();
+        if (++completed_ == batchSize_)
+            doneCv_.notify_all();
     }
 }
 
@@ -80,8 +69,7 @@ SweepRunner::runIndexed(std::size_t n,
     task_ = &task;
     batchSize_ = n;
     completed_ = 0;
-    nextIndex_.store(0, std::memory_order_relaxed);
-    ++batchId_;
+    nextIndex_ = 0;
     workCv_.notify_all();
     doneCv_.wait(lk, [&] { return completed_ == n; });
     task_ = nullptr;

@@ -31,10 +31,8 @@
 #ifndef NVSIM_EXEC_SWEEP_HH
 #define NVSIM_EXEC_SWEEP_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -116,16 +114,19 @@ class SweepRunner
     unsigned jobs_;
     std::vector<std::thread> workers_;
 
-    // Batch state, guarded by m_ except for the atomic claim index.
+    // Batch state, all guarded by m_. Workers claim indices under m_,
+    // so a claim always pairs the index with the task and size of the
+    // batch that was current when it was made; the batch cannot end
+    // (and runIndexed() cannot install the next one) until every
+    // claimed task has reported completion.
     std::mutex m_;
     std::condition_variable workCv_;  //!< workers wait here for a batch
     std::condition_variable doneCv_;  //!< map() waits here for the batch
     const std::function<void(std::size_t)> *task_ = nullptr;
-    std::size_t batchSize_ = 0;
-    std::uint64_t batchId_ = 0;  //!< bumped per runIndexed()
+    std::size_t batchSize_ = 0;  //!< 0 between batches
+    std::size_t nextIndex_ = 0;  //!< next unclaimed index
     std::size_t completed_ = 0;  //!< tasks finished in current batch
     bool stop_ = false;
-    std::atomic<std::size_t> nextIndex_{0};
 };
 
 } // namespace nvsim::exec

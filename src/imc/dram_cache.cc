@@ -25,7 +25,6 @@ DirectMappedTagEccPolicy::DirectMappedTagEccPolicy(
     const std::size_t entries = numSets_ * ways_;
     wayTag_.assign(entries, kInvalidTag);
     wayLru_.assign(entries, 0);
-    wayDirty_.assign(entries, 0);
     wayRetired_.assign(entries, 0);
     if ((numSets_ & (numSets_ - 1)) == 0) {
         setMask_ = numSets_ - 1;
@@ -64,7 +63,7 @@ DirectMappedTagEccPolicy::find(std::uint64_t set, std::uint64_t tag) const
     // kInvalidTag) — the point of the structure-of-arrays layout.
     const WayIdx base = set * ways_;
     for (unsigned w = 0; w < ways_; ++w) {
-        if (wayTag_[base + w] == tag)
+        if (tagAt(base + w) == tag)
             return base + w;
     }
     return kNoWay;
@@ -76,7 +75,8 @@ DirectMappedTagEccPolicy::victimWay(std::uint64_t set) const
     const WayIdx base = set * ways_;
     WayIdx victim = kNoWay;
     for (unsigned w = 0; w < ways_; ++w) {
-        if (wayRetired_[base + w])
+        // The retired sideband stays unread until a way is retired.
+        if (retiredWays_ && wayRetired_[base + w])
             continue;
         if (!wayValid(base + w))
             return base + w;
@@ -114,29 +114,33 @@ DirectMappedTagEccPolicy::bypassWrite(Addr addr, CacheResult &result)
     result.wroteBack = true;
 }
 
+void
+DirectMappedTagEccPolicy::evict(std::uint64_t set, WayIdx victim,
+                                CacheResult &result)
+{
+    result.outcome = CacheOutcome::MissClean;
+    if (!wayValid(victim))
+        return;
+    if (profiler_)
+        profiler_->noteEviction(set);
+    Addr victim_addr = addrOf(set, tagAt(victim));
+    if (isDirty(victim)) {
+        // Write the dirty victim back to NVRAM.
+        result.actions.nvramWrites += 1;
+        result.victim = victim_addr;
+        result.wroteBack = true;
+        result.outcome = CacheOutcome::MissDirty;
+    }
+    ddo_->noteEvict(victim_addr);
+}
+
 DirectMappedTagEccPolicy::WayIdx
 DirectMappedTagEccPolicy::missHandler(Addr addr, std::uint64_t set,
                                       std::uint64_t tag,
                                       CacheResult &result)
 {
     const WayIdx victim = victimWay(set);
-    if (wayValid(victim)) {
-        if (profiler_)
-            profiler_->noteEviction(set);
-        Addr victim_addr = addrOf(set, wayTag_[victim]);
-        if (wayDirty_[victim]) {
-            // Write the dirty victim back to NVRAM.
-            result.actions.nvramWrites += 1;
-            result.victim = victim_addr;
-            result.wroteBack = true;
-            result.outcome = CacheOutcome::MissDirty;
-        } else {
-            result.outcome = CacheOutcome::MissClean;
-        }
-        ddo_->noteEvict(victim_addr);
-    } else {
-        result.outcome = CacheOutcome::MissClean;
-    }
+    evict(set, victim, result);
 
     // Fetch the requested line from NVRAM and insert it (insert on
     // miss, regardless of whether the demand was a read or a write).
@@ -144,11 +148,7 @@ DirectMappedTagEccPolicy::missHandler(Addr addr, std::uint64_t set,
     result.actions.dramWrites += 1;
     result.fill = lineBase(addr);
     result.filled = true;
-
-    wayDirty_[victim] = 0;
-    wayTag_[victim] = tag;  // a real tag: the way is now valid
-    touchLru(victim);
-    ddo_->noteInsert(lineBase(addr));
+    insertTag(victim, tag, addr);
     return victim;
 }
 
@@ -193,7 +193,7 @@ DirectMappedTagEccPolicy::write(Addr addr)
     if (ddo_->check(lineBase(addr), way != kNoWay)) {
         result.outcome = CacheOutcome::DdoHit;
         result.actions.dramWrites = 1;
-        wayDirty_[way] = 1;
+        markDirty(way);
         touchLru(way);
         if (profiler_)
             profiler_->noteHit(set);
@@ -227,7 +227,7 @@ DirectMappedTagEccPolicy::write(Addr addr)
     }
 
     result.actions.dramWrites += 1;
-    wayDirty_[way] = 1;
+    markDirty(way);
     touchLru(way);
     return result;
 }
@@ -249,8 +249,8 @@ DirectMappedTagEccPolicy::corruptTag(Addr addr)
         return tc;
 
     tc.dropped = true;
-    tc.wasDirty = wayDirty_[way] != 0;
-    tc.line = addrOf(set, wayTag_[way]);
+    tc.wasDirty = isDirty(way);
+    tc.line = addrOf(set, tagAt(way));
     // Keep the DDO tracker consistent: the line is gone, later writes
     // must not elide their tag check.
     ddo_->noteEvict(tc.line);
@@ -270,8 +270,8 @@ DirectMappedTagEccPolicy::retireFrame(Addr frame)
         return tc;
     if (wayValid(idx)) {
         tc.dropped = true;
-        tc.wasDirty = wayDirty_[idx] != 0;
-        tc.line = addrOf(idx / ways_, wayTag_[idx]);
+        tc.wasDirty = isDirty(idx);
+        tc.line = addrOf(idx / ways_, tagAt(idx));
         // Keep the DDO tracker consistent: the line is gone, later
         // writes must not elide their tag check.
         ddo_->noteEvict(tc.line);
@@ -294,7 +294,7 @@ bool
 DirectMappedTagEccPolicy::residentDirty(Addr addr) const
 {
     WayIdx way = find(setOf(addr), tagOf(addr));
-    return way != kNoWay && wayDirty_[way];
+    return way != kNoWay && isDirty(way);
 }
 
 void
@@ -302,7 +302,6 @@ DirectMappedTagEccPolicy::invalidateAll()
 {
     std::fill(wayTag_.begin(), wayTag_.end(), kInvalidTag);
     std::fill(wayLru_.begin(), wayLru_.end(), 0);
-    std::fill(wayDirty_.begin(), wayDirty_.end(), 0);
     std::fill(wayRetired_.begin(), wayRetired_.end(), 0);
     // A reboot remaps retired rows onto spares: retirement clears too.
     retiredWays_ = 0;

@@ -108,26 +108,34 @@ class DirectMappedTagEccPolicy : public CachePolicy
     /**
      * Handle into the structure-of-arrays line-state store: the flat
      * index set * ways + way, or kNoWay for "not found". Line state
-     * is kept as parallel arrays (tag, LRU stamp, dirty, retired)
-     * rather than an array of per-way structs: the hot probe loop
-     * reads only the tag words (an empty way holds kInvalidTag, so
-     * there is no separate valid byte to fetch), packing eight
-     * candidate tags per hardware cache line instead of walking
-     * 24-byte padded structs — and the dirty/retired sideband stays
-     * out of the probe path entirely.
+     * is kept as parallel arrays (tag word, LRU stamp, retired) rather
+     * than an array of per-way structs. The tag word carries the
+     * whole per-request state: the tag in bits 0-62, the dirty flag in
+     * bit 63, and kInvalidTag for an empty way, so there is no
+     * separate valid or dirty byte to fetch. A probe, a hit and a
+     * write hit's dirty update all touch one host cache line of dense
+     * tag words (eight candidate ways per line). The LRU stamp is
+     * read only when choosing a victim among several valid ways, and
+     * the retired sideband only once a way has been retired.
      */
     using WayIdx = std::uint64_t;
     static constexpr WayIdx kNoWay = ~static_cast<WayIdx>(0);
 
-    /**
-     * Tag value marking an empty way. Real tags are lineIndex /
-     * numSets for in-range physical addresses, orders of magnitude
-     * below 2^64, so the all-ones word is never a live tag.
-     */
-    static constexpr std::uint64_t kInvalidTag =
-        ~static_cast<std::uint64_t>(0);
+    /** Dirty flag of a tag word. */
+    static constexpr std::uint64_t kDirtyBit = std::uint64_t{1} << 63;
 
-    bool wayValid(WayIdx w) const { return wayTag_[w] != kInvalidTag; }
+    /**
+     * Tag word of an empty way (never dirty). Real tags are lineIndex
+     * / numSets < 2^58 for any 64-bit address, so neither bit 63 nor
+     * this value is ever part of a live tag.
+     */
+    static constexpr std::uint64_t kInvalidTag = ~kDirtyBit;
+
+    /** Tag of way @p w, dirty flag stripped (kInvalidTag if empty). */
+    std::uint64_t tagAt(WayIdx w) const { return wayTag_[w] & ~kDirtyBit; }
+    bool isDirty(WayIdx w) const { return (wayTag_[w] & kDirtyBit) != 0; }
+    void markDirty(WayIdx w) { wayTag_[w] |= kDirtyBit; }
+    bool wayValid(WayIdx w) const { return tagAt(w) != kInvalidTag; }
 
     /**
      * Insertion gate consulted on every miss. The stock controller
@@ -216,9 +224,27 @@ class DirectMappedTagEccPolicy : public CachePolicy
     {
         wayTag_[w] = kInvalidTag;
         wayLru_[w] = 0;
-        wayDirty_[w] = 0;
         wayRetired_[w] = 0;
     }
+
+    /**
+     * Make @p w hold @p tag, clean, stamped most-recently-used, and
+     * tell the DDO tracker the line at @p addr is resident.
+     */
+    void
+    insertTag(WayIdx w, std::uint64_t tag, Addr addr)
+    {
+        wayTag_[w] = tag;  // a bare tag: valid and clean
+        touchLru(w);
+        ddo_->noteInsert(lineBase(addr));
+    }
+
+    /**
+     * Make room in @p set by evicting @p victim (a serviceable way,
+     * from victimWay()): a valid dirty line is written back to NVRAM.
+     * Sets @p result's outcome and writeback fields.
+     */
+    void evict(std::uint64_t set, WayIdx victim, CacheResult &result);
 
     /**
      * Run the Figure 3 miss handler: evict (writeback if dirty), fetch
@@ -237,7 +263,6 @@ class DirectMappedTagEccPolicy : public CachePolicy
     // see WayIdx for the layout rationale.
     std::vector<std::uint64_t> wayTag_;
     std::vector<std::uint32_t> wayLru_;
-    std::vector<std::uint8_t> wayDirty_;
     std::vector<std::uint8_t> wayRetired_;
     std::uint64_t retiredWays_ = 0;
     std::uint32_t lruClock_ = 0;

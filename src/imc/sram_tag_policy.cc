@@ -16,32 +16,13 @@ SramTagSetAssocPolicy::fill(Addr addr, std::uint64_t set,
                             std::uint64_t tag, CacheResult &result)
 {
     const WayIdx victim = victimWay(set);
-    if (wayValid(victim)) {
-        if (profiler_)
-            profiler_->noteEviction(set);
-        Addr victim_addr = addrOf(set, wayTag_[victim]);
-        if (wayDirty_[victim]) {
-            result.actions.nvramWrites += 1;
-            result.victim = victim_addr;
-            result.wroteBack = true;
-            result.outcome = CacheOutcome::MissDirty;
-        } else {
-            result.outcome = CacheOutcome::MissClean;
-        }
-        ddo_->noteEvict(victim_addr);
-    } else {
-        result.outcome = CacheOutcome::MissClean;
-    }
+    evict(set, victim, result);
 
     result.actions.nvramReads += 1;
     result.fill = lineBase(addr);
     result.filled = true;
-
-    wayDirty_[victim] = 0;
-    wayTag_[victim] = tag;  // a real tag: the way is now valid
     // Both LRU and FIFO stamp at insertion; they differ on hits.
-    touchLru(victim);
-    ddo_->noteInsert(lineBase(addr));
+    insertTag(victim, tag, addr);
     return victim;
 }
 
@@ -88,7 +69,7 @@ SramTagSetAssocPolicy::write(Addr addr)
     if (WayIdx way = find(set, tag); way != kNoWay) {
         result.outcome = CacheOutcome::Hit;
         result.actions.dramWrites = 1;
-        wayDirty_[way] = 1;
+        markDirty(way);
         if (lru_)
             touchLru(way);
         if (profiler_)
@@ -112,7 +93,7 @@ SramTagSetAssocPolicy::write(Addr addr)
     // merged into the fill: one NVRAM fetch, one DRAM write total.
     WayIdx way = fill(addr, set, tag, result);
     result.actions.dramWrites += 1;
-    wayDirty_[way] = 1;
+    markDirty(way);
     return result;
 }
 
@@ -128,8 +109,8 @@ SramTagSetAssocPolicy::corruptTag(Addr addr)
         return tc;  // tags are safe in SRAM; nothing resident was lost
 
     tc.dropped = true;
-    tc.wasDirty = wayDirty_[way] != 0;
-    tc.line = addrOf(set, wayTag_[way]);
+    tc.wasDirty = isDirty(way);
+    tc.line = addrOf(set, tagAt(way));
     ddo_->noteEvict(tc.line);
     clearWay(way);
     return tc;

@@ -81,16 +81,14 @@ RowTracker::activate(std::uint64_t row, std::uint64_t n)
             // Table full: the activations land in the spillover. When
             // the spillover overtakes the smallest tracked count, that
             // row can no longer be distinguished from the untracked
-            // mass — swap it out (ties broken by smallest row id so
-            // the result never depends on hash iteration order).
+            // mass — swap it out (ties go to the smallest row id: the
+            // map iterates in row order and only a strictly smaller
+            // count replaces the candidate).
             spillover_ += n;
             auto min_it = counts_.begin();
             for (auto i = counts_.begin(); i != counts_.end(); ++i) {
-                if (i->second < min_it->second ||
-                    (i->second == min_it->second &&
-                     i->first < min_it->first)) {
+                if (i->second < min_it->second)
                     min_it = i;
-                }
             }
             if (spillover_ < min_it->second)
                 return 0;

@@ -36,7 +36,7 @@
 #define NVSIM_MEM_MAINTENANCE_MAINTENANCE_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <map>
 
 #include "core/rng.hh"
 #include "core/types.hh"
@@ -151,7 +151,7 @@ class RowTracker
 
   private:
     RowHammerConfig config_;
-    std::unordered_map<std::uint64_t, std::uint64_t> counts_;
+    std::map<std::uint64_t, std::uint64_t> counts_;  //!< row -> count
     std::uint64_t spillover_ = 0;
 };
 
@@ -190,7 +190,7 @@ class ScrubEngine
     Addr walk_ = 0;       //!< next frame the scrubber will read
     Rng rng_;
     /** Correctable-error count per frame (the retirement ladder). */
-    std::unordered_map<Addr, unsigned> ceCount_;
+    std::map<Addr, unsigned> ceCount_;
     std::uint64_t retired_ = 0;
 };
 

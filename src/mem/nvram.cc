@@ -23,18 +23,21 @@ NvramDevice::BlockLru::touch(Addr block, Addr &evicted, bool &did_evict)
     did_evict = false;
     // Sequential streams touch the same block several times in a row:
     // it is already most recently used, so skip the linear scan.
-    if (!order.empty() && order.back() == block)
+    if (!order.empty() && blockOf(order.back()) == block)
         return true;
-    auto it = std::find(order.begin(), order.end(), block);
+    auto it = std::find_if(order.begin(), order.end(), [block](Addr e) {
+        return blockOf(e) == block;
+    });
     if (it != order.end()) {
-        // Move to most-recently-used position.
+        // Move to most-recently-used position, fill mask and all.
+        Addr entry = *it;
         order.erase(it);
-        order.push_back(block);
+        order.push_back(entry);
         return true;
     }
     order.push_back(block);
     if (order.size() > capacity) {
-        evicted = order.front();
+        evicted = blockOf(order.front());
         order.erase(order.begin());
         did_evict = true;
     }
@@ -85,37 +88,26 @@ NvramDevice::write(Addr addr, std::uint16_t thread)
 
     Addr evicted;
     bool did_evict;
-    bool hit = wpq_.touch(block, evicted, did_evict);
+    wpq_.touch(block, evicted, did_evict);
     if (did_evict) {
         // A partially (or fully) merged block is forced to media early.
-        wpqFill_.erase(evicted);
         mediaWrite(evicted);
     }
-    std::uint8_t &fill = wpqFill_[block];
-    if (!hit)
-        fill = 0;
-    fill = static_cast<std::uint8_t>(fill | (1u << slot));
-    if (fill == 0xF) {
-        // Fully merged 256 B block: retire it with one media write.
-        wpqFill_.erase(block);
-        retireWpqBlock(block);
-        mediaWrite(block);
-    }
+    mergeWpqSlot(slot);
     return faultPlan_ ? faultPlan_->nvramWrite() : MediaFault{};
 }
 
-void
-NvramDevice::retireWpqBlock(Addr block)
+bool
+NvramDevice::mergeWpqSlot(unsigned slot)
 {
-    // The block was touched on this demand write, so it sits at the
-    // MRU end; fall back to a scan only if something else moved it.
-    if (!wpq_.order.empty() && wpq_.order.back() == block) {
-        wpq_.order.pop_back();
-        return;
-    }
-    auto it = std::find(wpq_.order.begin(), wpq_.order.end(), block);
-    if (it != wpq_.order.end())
-        wpq_.order.erase(it);
+    Addr &entry = wpq_.order.back();
+    entry |= Addr{1} << slot;
+    if ((entry & BlockLru::kFullFill) != BlockLru::kFullFill)
+        return false;
+    // Fully merged 256 B block: retire it with one media write.
+    mediaWrite(BlockLru::blockOf(entry));
+    wpq_.order.pop_back();
+    return true;
 }
 
 void
@@ -153,34 +145,19 @@ NvramDevice::writeRun(Addr addr, std::uint64_t lines,
         unsigned count = static_cast<unsigned>(
             std::min<std::uint64_t>(left, 4 - slot));
 
-        bool hit = wpq_.touch(block, evicted, did_evict);
-        if (did_evict) {
-            wpqFill_.erase(evicted);
+        wpq_.touch(block, evicted, did_evict);
+        if (did_evict)
             mediaWrite(evicted);
-        }
-        std::uint8_t *fill = &wpqFill_[block];
-        if (!hit)
-            *fill = 0;
         // Merge the segment's slots one at a time: a rewrite can
         // complete the block mid-segment (stale partial fill from an
         // earlier pass), in which case the per-line path retires it
         // and re-opens the block for the remaining slots.
         for (unsigned i = 0; i < count; ++i, ++slot) {
-            *fill = static_cast<std::uint8_t>(*fill | (1u << slot));
-            if (*fill != 0xF)
+            if (!mergeWpqSlot(slot) || i + 1 == count)
                 continue;
-            wpqFill_.erase(block);
-            retireWpqBlock(block);
-            mediaWrite(block);
-            if (i + 1 < count) {
-                wpq_.touch(block, evicted, did_evict);
-                if (did_evict) {
-                    wpqFill_.erase(evicted);
-                    mediaWrite(evicted);
-                }
-                fill = &wpqFill_[block];
-                *fill = 0;
-            }
+            wpq_.touch(block, evicted, did_evict);
+            if (did_evict)
+                mediaWrite(evicted);
         }
         a += static_cast<Addr>(count) * kLineSize;
         left -= count;
@@ -190,11 +167,7 @@ NvramDevice::writeRun(Addr addr, std::uint64_t lines,
 void
 NvramDevice::flushWpq()
 {
-    wpq_.drain([this](Addr block) {
-        wpqFill_.erase(block);
-        mediaWrite(block);
-    });
-    wpqFill_.clear();
+    wpq_.drain([this](Addr block) { mediaWrite(block); });
 }
 
 NvramEpoch

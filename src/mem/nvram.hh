@@ -29,7 +29,6 @@
 #define NVSIM_MEM_NVRAM_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/types.hh"
@@ -149,15 +148,27 @@ class NvramDevice
      * Tiny LRU buffer of media block addresses. Capacities are on the
      * order of 16 entries, so a linear scan over a vector is both simple
      * and fast.
+     *
+     * Each entry is one word: the 256 B-aligned block address with the
+     * block's fill mask (which 64 B lines the WPQ holds) in the low
+     * bits the alignment leaves free. A probe reads nothing but the
+     * order vector, and a newly inserted block starts with an empty
+     * mask. The read buffer never sets mask bits.
      */
     struct BlockLru
     {
         explicit BlockLru(unsigned capacity) : capacity(capacity) {}
 
+        static constexpr Addr kFillBits = kMediaBlockSize - 1;
+        static constexpr Addr kFullFill = 0xF;  //!< all four lines
+
+        static Addr blockOf(Addr entry) { return entry & ~kFillBits; }
+
         /**
-         * Touch @p block. Returns true on hit. On miss inserts and, if
-         * over capacity, evicts the least recently used block into
-         * @p evicted and sets @p did_evict.
+         * Touch @p block, leaving its entry (fill mask included) at the
+         * MRU end, order.back(). Returns true on hit. On miss inserts
+         * with an empty mask and, if over capacity, evicts the least
+         * recently used block into @p evicted and sets @p did_evict.
          */
         bool touch(Addr block, Addr &evicted, bool &did_evict);
 
@@ -166,8 +177,8 @@ class NvramDevice
         void
         drain(F &&f)
         {
-            for (Addr block : order)
-                f(block);
+            for (Addr entry : order)
+                f(blockOf(entry));
             order.clear();
         }
 
@@ -182,8 +193,6 @@ class NvramDevice
 
     BlockLru readBuffer_;
     BlockLru wpq_;
-    /** WPQ fill bitmaps: media block -> mask of present 64 B lines. */
-    std::unordered_map<Addr, std::uint8_t> wpqFill_;
     /**
      * Writer-stream tracking: writerStamp_[thread] holds the epoch id
      * of that thread's last write, so counting distinct writers per
@@ -196,8 +205,12 @@ class NvramDevice
     void noteWriter(std::uint16_t thread);
     void mediaWrite(Addr block);
 
-    /** Drop @p block from the WPQ order (it was just touched: MRU). */
-    void retireWpqBlock(Addr block);
+    /**
+     * Merge line @p slot into the MRU WPQ entry (the block just
+     * touched). A fully merged block retires with one media write and
+     * leaves the queue; returns true if it did.
+     */
+    bool mergeWpqSlot(unsigned slot);
 };
 
 } // namespace nvsim

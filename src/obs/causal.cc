@@ -179,12 +179,17 @@ CausalTracer::foldedLines(std::vector<std::string> &out,
                 if (cs.causeCount[c] == 0)
                     continue;
                 std::string line;
-                if (!prefix.empty())
-                    line = prefix + ";";
+                if (!prefix.empty()) {
+                    line = prefix;
+                    line += ';';
+                }
                 line += displayContext(ctx);
-                line += ";" + klass + ";";
+                line += ';';
+                line += klass;
+                line += ';';
                 line += accessCauseName(static_cast<AccessCause>(c));
-                line += " " + std::to_string(cs.causeCount[c]);
+                line += ' ';
+                line += std::to_string(cs.causeCount[c]);
                 out.push_back(std::move(line));
             }
         }

@@ -22,39 +22,30 @@ Llc::access(Addr addr, bool is_store)
     Way *base = &ways_store_[set * ways_];
 
     LlcResult result;
-    Way *way = nullptr;
-    Way *victim = nullptr;
-    for (unsigned w = 0; w < ways_; ++w) {
-        Way &cand = base[w];
-        if (cand.valid && cand.tag == tag) {
-            way = &cand;
-            break;
-        }
-        // Track the replacement victim: any invalid way wins, else LRU.
-        if (!victim ||
-            (victim->valid && (!cand.valid || cand.lru < victim->lru))) {
-            victim = &cand;
-        }
-    }
-
-    if (way) {
+    Way *way = base + findWay(set, tag);
+    if (way != base + ways_) {
         result.hit = true;
         ++hits_;
     } else {
         result.missed = true;
         ++misses_;
-        if (victim->valid && victim->dirty) {
+        // Replacement victim: the first way with the lowest stamp. An
+        // empty way holds stamp 0, below every live one, so this is
+        // the first invalid way, else the first least-recently-used.
+        way = base;
+        for (unsigned w = 1; w < ways_; ++w) {
+            if (base[w].lru < way->lru)
+                way = &base[w];
+        }
+        if (way->dirty()) {
             result.evictedDirty = true;
             ++dirtyEvictions_;
-            result.victim = addrOf(set, victim->tag);
+            result.victim = addrOf(set, way->tag());
         }
-        victim->valid = true;
-        victim->dirty = false;
-        victim->tag = tag;
-        way = victim;
+        way->word = tag;  // a bare tag: valid and clean
     }
     if (is_store)
-        way->dirty = true;
+        way->word |= kDirtyBit;
     way->lru = ++lruClock_;
     return result;
 }
@@ -64,27 +55,19 @@ Llc::invalidateLine(Addr addr)
 {
     std::uint64_t set, tag;
     splitAddr(addr, set, tag);
-    Way *base = &ways_store_[set * ways_];
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
-            base[w] = Way{};
-            ++ntInvalidates_;
-            return;
-        }
-    }
+    unsigned w = findWay(set, tag);
+    if (w == ways_)
+        return;
+    ways_store_[set * ways_ + w] = Way{};
+    ++ntInvalidates_;
 }
 
 bool
 Llc::resident(Addr addr) const
 {
-    std::uint64_t set = setOf(addr);
-    std::uint64_t tag = tagOf(addr);
-    const Way *base = &ways_store_[set * ways_];
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            return true;
-    }
-    return false;
+    std::uint64_t set, tag;
+    splitAddr(addr, set, tag);
+    return findWay(set, tag) != ways_;
 }
 
 void

@@ -71,8 +71,8 @@ class Llc
         for (std::uint64_t set = 0; set < numSets_; ++set) {
             for (unsigned w = 0; w < ways_; ++w) {
                 Way &way = ways_store_[set * ways_ + w];
-                if (way.valid && way.dirty)
-                    writeback(addrOf(set, way.tag));
+                if (way.dirty())  // an empty way is never dirty
+                    writeback(addrOf(set, way.tag()));
                 way = Way{};
             }
         }
@@ -95,19 +95,46 @@ class Llc
     ///@}
 
   private:
+    /** Dirty flag of a way's tag word. */
+    static constexpr std::uint64_t kDirtyBit = std::uint64_t{1} << 63;
+    /**
+     * Tag word of an empty way (never dirty). Tags are lineIndex /
+     * numSets < 2^58, so neither bit 63 nor this value is ever part
+     * of a live tag.
+     */
+    static constexpr std::uint64_t kInvalidTag = ~kDirtyBit;
+
+    /**
+     * One way in 16 bytes: the tag word (tag, dirty flag in bit 63,
+     * kInvalidTag when empty) and the LRU stamp (0 when empty; live
+     * stamps start at 1 and, 64-bit, never wrap). The hit probe
+     * compares tag words only.
+     */
     struct Way
     {
-        std::uint64_t tag = 0;
-        std::uint32_t lru = 0;
-        bool valid = false;
-        bool dirty = false;
+        std::uint64_t word = kInvalidTag;
+        std::uint64_t lru = 0;
+
+        std::uint64_t tag() const { return word & ~kDirtyBit; }
+        bool dirty() const { return (word & kDirtyBit) != 0; }
     };
+
+    /** Index of the way of @p set holding @p tag, or ways_ if none. */
+    unsigned
+    findWay(std::uint64_t set, std::uint64_t tag) const
+    {
+        const Way *base = &ways_store_[set * ways_];
+        unsigned w = 0;
+        while (w < ways_ && base[w].tag() != tag)
+            ++w;
+        return w;
+    }
 
     /**
      * One division decomposes the line index into (set, tag): the
      * compiler derives the remainder from the quotient, where separate
-     * setOf()/tagOf() calls would each pay a 64-bit divide on this
-     * hottest of paths.
+     * modulo and divide expressions would each pay a 64-bit divide on
+     * this hottest of paths.
      */
     void
     splitAddr(Addr addr, std::uint64_t &set, std::uint64_t &tag) const
@@ -116,8 +143,6 @@ class Llc
         tag = idx / numSets_;
         set = idx - tag * numSets_;
     }
-    std::uint64_t setOf(Addr addr) const { return lineIndex(addr) % numSets_; }
-    std::uint64_t tagOf(Addr addr) const { return lineIndex(addr) / numSets_; }
     Addr
     addrOf(std::uint64_t set, std::uint64_t tag) const
     {
@@ -127,7 +152,7 @@ class Llc
     unsigned ways_;
     std::uint64_t numSets_;
     std::vector<Way> ways_store_;
-    std::uint32_t lruClock_ = 0;
+    std::uint64_t lruClock_ = 0;
 
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

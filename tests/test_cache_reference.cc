@@ -10,10 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/rng.hh"
+#include "imc/cache_policy.hh"
 #include "imc/dram_cache.hh"
 
 using namespace nvsim;
@@ -37,51 +40,70 @@ class RefCache
         std::uint64_t lru;
     };
 
-    /** Returns (hit, victim_dirty). */
-    std::pair<bool, bool>
+    /** What one access did to the reference. */
+    struct Outcome
+    {
+        bool hit = false;
+        bool victimDirty = false;  //!< a dirty line was evicted
+        Addr victim = 0;           //!< its line address, if so
+    };
+
+    Outcome
     access(Addr addr, bool is_write)
     {
         std::uint64_t set = lineIndex(addr) % sets_;
         std::uint64_t tag = lineIndex(addr) / sets_;
         auto &lines = store_[set];
+        Outcome out;
         for (auto &l : lines) {
             if (l.tag == tag) {
                 if (is_write)
                     l.dirty = true;
                 l.lru = ++clock_;
-                return {true, false};
+                out.hit = true;
+                return out;
             }
         }
-        bool victim_dirty = false;
         if (lines.size() >= ways_) {
             std::size_t victim = 0;
             for (std::size_t i = 1; i < lines.size(); ++i) {
                 if (lines[i].lru < lines[victim].lru)
                     victim = i;
             }
-            victim_dirty = lines[victim].dirty;
+            out.victimDirty = lines[victim].dirty;
+            out.victim = (lines[victim].tag * sets_ + set) * kLineSize;
             lines.erase(lines.begin() + static_cast<long>(victim));
         }
         lines.push_back({tag, is_write, ++clock_});
-        return {false, victim_dirty};
+        return out;
     }
 
+    /** Is the line resident and dirty? */
     bool
-    resident(Addr addr) const
+    dirty(Addr addr) const
+    {
+        const Line *l = find(addr);
+        return l && l->dirty;
+    }
+
+    bool resident(Addr addr) const { return find(addr) != nullptr; }
+
+  private:
+    const Line *
+    find(Addr addr) const
     {
         std::uint64_t set = lineIndex(addr) % sets_;
         std::uint64_t tag = lineIndex(addr) / sets_;
         auto it = store_.find(set);
         if (it == store_.end())
-            return false;
+            return nullptr;
         for (const auto &l : it->second) {
             if (l.tag == tag)
-                return true;
+                return &l;
         }
-        return false;
+        return nullptr;
     }
 
-  private:
     std::uint64_t sets_;
     unsigned ways_;
     std::uint64_t clock_ = 0;
@@ -110,16 +132,20 @@ TEST_P(CacheVsReference, RandomStreamAgrees)
         Addr addr = rng.below(addr_space_lines) * kLineSize;
         bool is_write = rng.below(3) == 0;
 
-        auto [ref_hit, ref_victim_dirty] = ref.access(addr, is_write);
+        RefCache::Outcome want = ref.access(addr, is_write);
         CacheResult r = is_write ? cache.write(addr) : cache.read(addr);
 
         bool model_hit = r.outcome == CacheOutcome::Hit;
-        ASSERT_EQ(model_hit, ref_hit) << "step " << i;
+        ASSERT_EQ(model_hit, want.hit) << "step " << i;
         if (!model_hit) {
             bool model_victim_dirty =
                 r.outcome == CacheOutcome::MissDirty;
-            ASSERT_EQ(model_victim_dirty, ref_victim_dirty)
+            ASSERT_EQ(model_victim_dirty, want.victimDirty)
                 << "step " << i;
+        }
+        ASSERT_EQ(r.wroteBack, want.victimDirty) << "step " << i;
+        if (r.wroteBack) {
+            ASSERT_EQ(r.victim, want.victim) << "step " << i;
         }
         // Post-state: the accessed line is resident in both.
         ASSERT_TRUE(cache.resident(addr));
@@ -147,14 +173,71 @@ TEST(CacheVsReference, DdoPreservesStateAgreement)
     for (int i = 0; i < 50000; ++i) {
         Addr addr = rng.below(400) * kLineSize;
         bool is_write = rng.below(2) == 0;
-        auto [ref_hit, ref_dirty] = ref.access(addr, is_write);
-        (void)ref_hit;
-        (void)ref_dirty;
-        CacheResult r = is_write ? cache.write(addr) : cache.read(addr);
-        (void)r;
+        ref.access(addr, is_write);
+        if (is_write)
+            cache.write(addr);
+        else
+            cache.read(addr);
         ASSERT_EQ(cache.resident(addr), ref.resident(addr))
             << "step " << i;
-        if (is_write)
+        if (is_write) {
             ASSERT_TRUE(cache.residentDirty(addr)) << "step " << i;
+        }
     }
 }
+
+/**
+ * Victim and dirty-flag coverage through the policy interface: every
+ * eviction's writeback flag and victim address, and the dirty state
+ * of the accessed line and of the evicted one, must match the
+ * reference for the tags-in-ECC controller and the SRAM-tag policy.
+ */
+class PolicyVsReference
+    : public ::testing::TestWithParam<std::tuple<std::string, unsigned>>
+{
+};
+
+TEST_P(PolicyVsReference, VictimAndDirtyAgree)
+{
+    auto [kind, ways] = GetParam();
+    DramCacheParams p;
+    p.capacity = 256 * kLineSize;
+    p.ways = ways;
+    p.ddo.mode = DdoMode::None;
+    CachePolicyConfig config;
+    config.kind = kind;
+    std::unique_ptr<CachePolicy> cache = makeCachePolicy(p, config);
+    RefCache ref(cache->numSets(), ways);
+
+    Rng rng(90 + ways);
+    for (int i = 0; i < 50000; ++i) {
+        Addr addr = rng.below(1024) * kLineSize;
+        bool is_write = rng.below(3) == 0;
+
+        RefCache::Outcome want = ref.access(addr, is_write);
+        CacheResult r = is_write ? cache->write(addr) : cache->read(addr);
+
+        ASSERT_EQ(r.outcome == CacheOutcome::Hit, want.hit)
+            << "step " << i;
+        ASSERT_EQ(r.outcome == CacheOutcome::MissDirty, want.victimDirty)
+            << "step " << i;
+        ASSERT_EQ(r.wroteBack, want.victimDirty) << "step " << i;
+        if (want.victimDirty) {
+            ASSERT_EQ(r.victim, want.victim) << "step " << i;
+            ASSERT_FALSE(cache->resident(want.victim)) << "step " << i;
+        }
+        ASSERT_EQ(cache->residentDirty(addr), ref.dirty(addr))
+            << "step " << i;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, PolicyVsReference,
+    ::testing::Values(std::make_tuple("direct_mapped_tag_ecc", 1u),
+                      std::make_tuple("direct_mapped_tag_ecc", 4u),
+                      std::make_tuple("sram_tag_set_assoc", 1u),
+                      std::make_tuple("sram_tag_set_assoc", 4u)),
+    [](const auto &info) {
+        return std::get<0>(info.param) + "_" +
+               std::to_string(std::get<1>(info.param)) + "way";
+    });

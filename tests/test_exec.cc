@@ -131,6 +131,30 @@ TEST(SweepRunner, ReusableAcrossBatches)
     }
 }
 
+TEST(SweepRunner, ReuseStressEveryIndexRunsOncePerBatch)
+{
+    // Back-to-back batches of changing size: a worker that wakes late
+    // for a finished batch must never claim an index of the next one
+    // under the old size or run the old task.
+    for (unsigned jobs : {3u, 4u}) {
+        SweepRunner pool(jobs);
+        for (int round = 0; round < 2500; ++round) {
+            std::size_t n = 2 + static_cast<std::size_t>(round % 8);
+            std::vector<std::atomic<int>> runs(n);
+            std::vector<int> out = pool.map<int>(n, [&](std::size_t i) {
+                runs[i].fetch_add(1, std::memory_order_relaxed);
+                return round * 16 + static_cast<int>(i);
+            });
+            ASSERT_EQ(out.size(), n);
+            for (std::size_t i = 0; i < n; ++i) {
+                ASSERT_EQ(runs[i].load(), 1)
+                    << "jobs " << jobs << " round " << round;
+                ASSERT_EQ(out[i], round * 16 + static_cast<int>(i));
+            }
+        }
+    }
+}
+
 TEST(SweepRunner, ZeroTasksIsANoOp)
 {
     SweepRunner pool(4);

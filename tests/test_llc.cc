@@ -113,3 +113,45 @@ TEST(Llc, CapacityIsRespected)
         resident += llc.resident(a) ? 1 : 0;
     EXPECT_EQ(resident, 16u);
 }
+
+TEST(Llc, MissRefillsNtInvalidatedWayBeforeLru)
+{
+    Llc llc(tinyLlc(4, 16 * kLineSize));  // 4 sets x 4 ways
+    const Addr stride = 4 * kLineSize;    // same set, next tag
+    for (Addr k = 0; k < 4; ++k)
+        llc.access(k * stride, false);    // line 0 is LRU
+    llc.invalidateLine(2 * stride);       // a middle way empties
+    LlcResult r = llc.access(4 * stride, false);
+    EXPECT_TRUE(r.missed);
+    EXPECT_FALSE(r.evictedDirty);
+    // The new line took the invalidated way: the LRU line survives.
+    EXPECT_TRUE(llc.resident(0));
+    EXPECT_TRUE(llc.resident(4 * stride));
+    EXPECT_FALSE(llc.resident(2 * stride));
+    // The set is full again, so the next miss replaces the LRU line.
+    llc.access(5 * stride, false);
+    EXPECT_FALSE(llc.resident(0));
+    EXPECT_TRUE(llc.resident(stride));
+}
+
+TEST(Llc, StoreHitOnLruWayKeepsDirtyThroughEviction)
+{
+    Llc llc(tinyLlc(2, 8 * kLineSize));  // 4 sets x 2 ways
+    const Addr a = 0;
+    const Addr b = 4 * kLineSize;        // same set as a
+    llc.access(a, false);
+    llc.access(b, false);                // a is now the LRU way
+    EXPECT_TRUE(llc.access(a, true).hit);  // store hit dirties it
+    EXPECT_TRUE(llc.access(a, false).hit); // a load leaves it dirty
+    LlcResult rb = llc.access(8 * kLineSize, false);  // evicts b
+    EXPECT_TRUE(rb.missed);
+    EXPECT_FALSE(rb.evictedDirty);
+    LlcResult ra = llc.access(12 * kLineSize, false);  // evicts a
+    EXPECT_TRUE(ra.missed);
+    EXPECT_TRUE(ra.evictedDirty);
+    EXPECT_EQ(ra.victim, a);
+    // The line that replaced a went in clean: its eviction is silent.
+    llc.access(16 * kLineSize, false);
+    EXPECT_FALSE(llc.access(20 * kLineSize, false).evictedDirty);
+    EXPECT_EQ(llc.dirtyEvictionCount(), 1u);
+}

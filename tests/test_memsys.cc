@@ -188,8 +188,8 @@ TEST(MemorySystem, MoreThreadsFinishFaster)
         Region r = sys.allocateIn(MemPool::Nvram, 8 * kMiB, "arr");
         sys.setActiveThreads(threads);
         for (Addr a = 0; a < r.size; a += kLineSize) {
-            sys.submit({a / kLineSize % threads, CpuOp::Load, r.base + a,
-                       kLineSize});
+            sys.submit({static_cast<unsigned>(a / kLineSize % threads),
+                        CpuOp::Load, r.base + a, kLineSize});
         }
         sys.quiesce();
         return sys.now();

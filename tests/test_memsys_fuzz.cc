@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <ostream>
 #include <tuple>
 
 #include "core/rng.hh"
@@ -26,6 +27,15 @@ struct FuzzParams
     unsigned ways;
     DdoMode ddo;
 };
+
+/* Names the case by its fields; the default byte dump would include
+   uninitialised padding and so differ from build to build. */
+void
+PrintTo(const FuzzParams &fp, std::ostream *os)
+{
+    *os << memoryModeName(fp.mode) << (fp.scatter ? " scatter" : "")
+        << " ways=" << fp.ways << " ddo=" << ddoModeName(fp.ddo);
+}
 
 class MemSysFuzz : public ::testing::TestWithParam<FuzzParams>
 {

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "dnn/liveness.hh"
 #include "dnn/networks.hh"
 #include "dnn/planner.hh"
@@ -62,6 +64,14 @@ struct NetCase
     std::uint64_t batch;
     double min_gb, max_gb;
 };
+
+/* Names the case by network and batch; the default byte dump would
+   include the address of the name string, which moves between runs. */
+void
+PrintTo(const NetCase &c, std::ostream *os)
+{
+    *os << c.name << " batch=" << c.batch;
+}
 
 class NetworkFootprint : public ::testing::TestWithParam<NetCase>
 {

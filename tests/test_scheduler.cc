@@ -149,8 +149,9 @@ TEST(Fcfs, PreservesArrivalOrderAcrossBanks)
     for (int i = 0; i < 8; ++i) {
         EXPECT_EQ(h.done[i].addr,
                   static_cast<Addr>(i) * 4 * kLineSize);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(h.info[i].issueTime, h.info[i - 1].issueTime);
+        }
     }
 }
 

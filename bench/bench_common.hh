@@ -103,7 +103,7 @@ manifestNeutral(const char *arg)
         "--jobs=",          "--stats-json=",  "--stats-prom=",
         "--perfetto=",      "--set-heatmap=", "--causal-trace=",
         "--folded-stacks=", "--telemetry=",   "--telemetry-json=",
-        "--anomaly-report=", "--top-sets=",   "--shard-threads=",
+        "--anomaly-report=", "--top-sets=",
     };
     for (const char *prefix : kNeutral) {
         if (std::strncmp(arg, prefix, std::strlen(prefix)) == 0)
@@ -176,10 +176,6 @@ struct BenchOptions
     obs::SessionOptions obs;
     /** Sweep worker threads; 0 = hardware concurrency, 1 = serial. */
     unsigned jobs = 0;
-    /** Intra-run channel shard threads per MemorySystem; 0 = auto
-     *  (hardware concurrency minus sweep jobs, floored at 1). Output
-     *  is byte-identical at any value. */
-    unsigned shardThreads = 0;
     /** Use the reference per-line access engine instead of batching. */
     bool perLine = false;
     /** --config= path; empty = use the bench's built-in defaults. */
@@ -196,10 +192,6 @@ benchUsage()
            "  --jobs=N            run sweep points on N worker threads\n"
            "                      (default: hardware concurrency;\n"
            "                      output is byte-identical for any N)\n"
-           "  --shard-threads=N   shard each run's channels across N\n"
-           "                      threads (default: leftover cores\n"
-           "                      after --jobs; output byte-identical\n"
-           "                      for any N)\n"
            "  --per-line          reference per-line access engine\n"
            "                      (diagnostics; identical, slower)\n"
            "  --stats-json=FILE   hierarchical stats registry as JSON\n"
@@ -261,11 +253,6 @@ parseBenchArgs(int &argc, char **argv, bool keep_unknown)
                 detail::numberArg(value, "--jobs="));
             if (opts.jobs == 0)
                 fatal("--jobs= must be >= 1");
-        } else if (detail::matchFlag(arg, "--shard-threads=", &value)) {
-            opts.shardThreads = static_cast<unsigned>(
-                detail::numberArg(value, "--shard-threads="));
-            if (opts.shardThreads == 0)
-                fatal("--shard-threads= must be >= 1");
         } else if (std::strcmp(arg, "--per-line") == 0) {
             opts.perLine = true;
         } else {
@@ -290,10 +277,6 @@ parseBenchArgs(int &argc, char **argv, bool keep_unknown)
     man.causalSeed = opts.obs.causalSeed;
     man.readEnvironment();
     MemorySystem::setBatchedAccessDefault(!opts.perLine);
-    // An explicit --shard-threads= takes effect even in benches that
-    // never build a sweep (and so never call effectiveJobs()).
-    if (opts.shardThreads)
-        MemorySystem::setShardThreadsDefault(opts.shardThreads);
     return opts;
 }
 
@@ -336,14 +319,6 @@ benchConfig(const BenchOptions &opts, const SystemConfig &defaults = {})
  * collection is on — the obs Session serializes those runs on one
  * timeline. Telemetry-only sessions keep full parallelism (runs are
  * independent and the export is order-normalized).
- *
- * Also resolves the intra-run shard width and installs it as the
- * MemorySystem default: an explicit --shard-threads= wins (with a
- * one-line warning if jobs x shard oversubscribes the host); otherwise
- * the shard width defaults to whatever cores the sweep leaves idle
- * (hardware concurrency minus jobs, floored at 1 — so a saturating
- * sweep gets no sharding and a serial run gets every core). Either
- * way the simulated results are byte-identical.
  */
 inline unsigned
 effectiveJobs(const BenchOptions &opts, const obs::Session &session)
@@ -355,16 +330,6 @@ effectiveJobs(const BenchOptions &opts, const obs::Session &session)
                jobs);
         jobs = 1;
     }
-    const unsigned hw = exec::hardwareJobs();
-    unsigned shard = opts.shardThreads;
-    if (shard == 0)
-        shard = jobs < hw ? hw - jobs : 1;
-    else if (jobs * shard > hw)
-        inform("--jobs=%u x --shard-threads=%u oversubscribes %u "
-               "hardware threads; results are identical but wall-clock "
-               "may regress",
-               jobs, shard, hw);
-    MemorySystem::setShardThreadsDefault(shard);
     return jobs;
 }
 

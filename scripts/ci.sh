@@ -1,10 +1,10 @@
 #!/bin/sh
 # Tier-1 CI: configure, build and run the full test suite twice —
 # once plain, once under AddressSanitizer + UBSan (-DNVSIM_SANITIZE=ON)
-# — then race-check the sweep pool under ThreadSanitizer and verify the
-# parallel/batched engines reproduce the serial output byte-for-byte.
-# Any test failure, warning in the plain build (-Werror) or sanitizer
-# report fails the script.
+# — then race-check the sweep pool under ThreadSanitizer, build the
+# perfbench package and verify the parallel/batched engines reproduce
+# the serial output byte-for-byte. Any test failure, compiler warning
+# (every build is -Werror) or sanitizer report fails the script.
 set -eu
 
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -23,20 +23,30 @@ run_suite() {
 
 # The plain build is warning-clean and must stay so.
 run_suite build -DNVSIM_SANITIZE=OFF -DCMAKE_CXX_FLAGS=-Werror
-run_suite build-asan -DNVSIM_SANITIZE=ON
+run_suite build-asan -DNVSIM_SANITIZE=ON -DCMAKE_CXX_FLAGS=-Werror
 
 # The benchmark's own analysis unit tests (perfbench/analysis.py).
 echo "=== perfbench analysis unit tests ==="
 (cd "$root" && python3 -m unittest discover perfbench/tests)
 
-# ThreadSanitizer pass over the concurrency engines: the sweep/shard
-# pool tests plus real bench runs exercising both the inter-run sweep
-# (--jobs) and the intra-run channel shard (--shard-threads), the
-# latter on both the plain microbench and the maintenance/fault sweep
-# (RNG-bearing per-channel state). Scoped to the concurrency-bearing
-# targets — the full suite is single-threaded and already covered.
-echo "=== TSan suite (sweep pool + channel shard) ==="
-cmake -B "$root/build-tsan" -S "$root" -DNVSIM_SANITIZE=thread
+# The benchmark package (perfbench/) compiles src/ on its own and
+# interposes the layer entry points named in wrapped_symbols.txt at
+# link time, so a renamed or inlined entry point fails this link.
+echo "=== perfbench build (perfbench + perfbench_traced) ==="
+pb_dir=$(mktemp -d)
+cmake -B "$pb_dir" -S "$root/perfbench" > /dev/null
+cmake --build "$pb_dir" -j "$jobs" --target perfbench perfbench_traced
+rm -rf "$pb_dir"
+echo "perfbench build passed: both drivers link."
+
+# ThreadSanitizer pass over the sweep pool: its tests plus real bench
+# runs at --jobs=4, on the plain microbench and on the two sweeps with
+# RNG-bearing per-channel state (maintenance/fault and the queued
+# controller). Scoped to the concurrency-bearing targets — the full
+# suite is single-threaded and already covered.
+echo "=== TSan suite (sweep pool) ==="
+cmake -B "$root/build-tsan" -S "$root" -DNVSIM_SANITIZE=thread \
+    -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$root/build-tsan" -j "$jobs" \
     --target test_exec test_access_range bench_fig4_2lm_microbench \
     bench_fault_degradation bench_queue_load
@@ -49,14 +59,10 @@ tsan_dir=$(mktemp -d)
     "$root/build-tsan/bench/bench_fig4_2lm_microbench" --jobs=4 \
     > bench.log)
 (cd "$tsan_dir" && \
-    "$root/build-tsan/bench/bench_fig4_2lm_microbench" --jobs=1 \
-    --shard-threads=4 > bench_shard.log)
+    "$root/build-tsan/bench/bench_fault_degradation" --jobs=4 \
+    > fault.log)
 (cd "$tsan_dir" && \
-    "$root/build-tsan/bench/bench_fault_degradation" \
-    --shard-threads=4 > fault_shard.log)
-(cd "$tsan_dir" && \
-    "$root/build-tsan/bench/bench_queue_load" --jobs=2 \
-    --shard-threads=4 > queue_shard.log)
+    "$root/build-tsan/bench/bench_queue_load" --jobs=4 > queue.log)
 rm -rf "$tsan_dir"
 echo "TSan suite passed: no data races reported."
 
@@ -79,22 +85,6 @@ diff -r "$det_dir/jobs1" "$det_dir/jobs4"
 diff -r "$det_dir/jobs1" "$det_dir/perline"
 rm -rf "$det_dir"
 echo "determinism smoke passed: outputs byte-identical."
-
-# Shard byte-diff: the intra-run channel shard must reproduce the
-# serial run byte-for-byte — console, CSV, and the telemetry exports
-# (counter totals, latency percentiles, per-window series) alike.
-echo "=== shard determinism (--shard-threads byte-diff) ==="
-shard_dir=$(mktemp -d)
-for n in 1 4; do
-    mkdir -p "$shard_dir/shard$n"
-    (cd "$shard_dir/shard$n" && \
-        "$root/build/bench/bench_fig4_2lm_microbench" --jobs=1 \
-        --shard-threads=$n --telemetry=tel.csv \
-        --telemetry-json=tel.json > stdout.txt)
-done
-diff -r "$shard_dir/shard1" "$shard_dir/shard4"
-rm -rf "$shard_dir"
-echo "shard determinism passed: outputs byte-identical at any width."
 
 # Observability smoke: one bench run with every obs output enabled;
 # both JSON artifacts must parse (json.tool exits nonzero otherwise).
@@ -340,22 +330,16 @@ echo "queue-off byte-diff passed: analytic controller equals the seed."
 # Saturated-channel smoke: the queued-controller load sweep must show
 # the tail pulling away from the median as the offered load crosses
 # the channel service knee (the bench's own verdict line), report
-# nonzero queue activity, and stay byte-identical across --jobs and
-# --shard-threads — the deferred epoch-end drain is part of the
-# determinism contract.
+# nonzero queue activity, and stay byte-identical across --jobs — the
+# deferred epoch-end drain is part of the determinism contract.
 echo "=== queue smoke (bench_queue_load saturation + determinism) ==="
 ql_dir=$(mktemp -d)
-for variant in "jobs1 --jobs=1" "jobs4 --jobs=4" \
-               "shard4 --jobs=1 --shard-threads=4"; do
-    name=${variant%% *}
-    flags=${variant#* }
-    mkdir -p "$ql_dir/$name"
-    # shellcheck disable=SC2086  # flags is a word list by design
-    (cd "$ql_dir/$name" && \
-        "$root/build/bench/bench_queue_load" $flags > stdout.txt)
+for n in 1 4; do
+    mkdir -p "$ql_dir/jobs$n"
+    (cd "$ql_dir/jobs$n" && \
+        "$root/build/bench/bench_queue_load" --jobs=$n > stdout.txt)
 done
 diff -r "$ql_dir/jobs1" "$ql_dir/jobs4"
-diff -r "$ql_dir/jobs1" "$ql_dir/shard4"
 grep -q "tail stretches under load (as expected)" \
     "$ql_dir/jobs1/stdout.txt"
 grep -q "^analytic,0,.*,0,0,0,0$" "$ql_dir/jobs1/queue_load.csv"

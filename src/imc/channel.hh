@@ -167,7 +167,7 @@ class ChannelController
     AccessResult handle(const MemRequest &req, MemPool pool);
 
     /** @name Batched fast path
-     * Lean demand entry points used by MemorySystem::accessRange when
+     * Lean demand entry points used by MemorySystem::submit() when
      * no observer is attached and the fault plan is disabled: the same
      * cache/device state transitions and counter updates as handle(),
      * with none of the AccessResult, causal-breakdown or fault
@@ -267,21 +267,6 @@ class ChannelController
     PerfCounters &counters() { return counters_; }
     const PerfCounters &counters() const { return counters_; }
 
-    /**
-     * Point the request paths' counter bumps at @p sink instead of the
-     * channel's own block (nullptr restores it). The shard engine
-     * (exec/shard.hh) redirects each channel into a cache-line-aligned
-     * per-channel delta block while workers execute an epoch's queued
-     * requests, then merges the deltas in fixed channel order at the
-     * epoch barrier — so the hot path needs no atomics and the real
-     * counters are only ever written by the merging thread.
-     */
-    void
-    redirectCounters(PerfCounters *sink)
-    {
-        ctr_ = sink ? sink : &counters_;
-    }
-
     CachePolicy &cache() { return *cache_; }
     const CachePolicy &cache() const { return *cache_; }
     NvramDevice &nvram() { return nvram_; }
@@ -335,8 +320,6 @@ class ChannelController
     std::unique_ptr<CachePolicy> cache_;
     DeviceLatencies lat_;
     PerfCounters counters_;
-    /** Active counter sink: &counters_ unless redirectCounters(). */
-    PerfCounters *ctr_ = &counters_;
     std::uint64_t epochMisses_ = 0;
     FaultPlan faultPlan_;
     ThrottleState throttle_;

@@ -197,7 +197,7 @@ struct TxQueueStats
  * One channel's queue engine. Single-threaded, like the controller
  * that owns it: the MemorySystem drives it from the deterministic
  * epoch-end drain, so queued-mode output is byte-identical at any
- * --jobs / --shard-threads by construction.
+ * --jobs by construction.
  *
  * Time model: the engine keeps an epoch-relative clock. enqueue()
  * advances it to the transaction's arrival and, when the target queue

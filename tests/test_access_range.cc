@@ -1,7 +1,7 @@
 /**
  * @file
  * Equivalence tests for the batched access engine: for every mode, op,
- * pattern and granularity, MemorySystem::accessRange must leave the
+ * pattern and granularity, MemorySystem::submit must leave the
  * machine in a state bit-identical to the reference per-line loop —
  * every uncore counter, LLC statistic, device buffer effect (via write
  * amplification) and the accumulated simulated time (an exact
@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -235,4 +236,117 @@ TEST(AccessRangeEquivalence, NonPowerOfTwoChannelGrid)
         }
         expectIdentical(batched, per_line);
     }
+}
+
+namespace
+{
+
+/** Everything a run can output, for exact comparison. */
+struct RunDigest
+{
+    std::array<std::uint64_t, PerfCounters::numFields()> counters{};
+    double now = 0;
+    double amplification = 0;
+    std::uint64_t llcHits = 0;
+    std::uint64_t llcMisses = 0;
+    std::size_t poisoned = 0;
+    std::uint64_t poisonCreated = 0;
+    std::uint64_t poisonPropagated = 0;
+    std::uint64_t poisonCleared = 0;
+    std::vector<FaultLog::Event> events;
+    std::vector<std::string> traceNames;
+    std::vector<Sample> traceSamples;
+};
+
+RunDigest
+digest(MemorySystem &sys)
+{
+    RunDigest d;
+    d.counters = sys.counters().asArray();
+    d.now = sys.now();
+    d.amplification = sys.nvramWriteAmplification();
+    d.llcHits = sys.llc().hitCount();
+    d.llcMisses = sys.llc().missCount();
+    d.poisoned = sys.poisonedLines();
+    d.poisonCreated = sys.faultLog().poisonCreated();
+    d.poisonPropagated = sys.faultLog().poisonPropagated();
+    d.poisonCleared = sys.faultLog().poisonCleared();
+    d.events = sys.faultLog().events();
+    for (const std::string &name : sys.trace().names()) {
+        d.traceNames.push_back(name);
+        const auto &ring = sys.trace().channel(name);
+        for (std::size_t i = 0; i < ring.size(); ++i)
+            d.traceSamples.push_back(ring[i]);
+    }
+    return d;
+}
+
+void
+expectIdentical(const RunDigest &a, const RunDigest &b)
+{
+    EXPECT_EQ(a.counters, b.counters);
+    EXPECT_EQ(a.now, b.now);  // exact: bitwise-equal FP accumulation
+    EXPECT_EQ(a.amplification, b.amplification);
+    EXPECT_EQ(a.llcHits, b.llcHits);
+    EXPECT_EQ(a.llcMisses, b.llcMisses);
+    EXPECT_EQ(a.poisoned, b.poisoned);
+    EXPECT_EQ(a.poisonCreated, b.poisonCreated);
+    EXPECT_EQ(a.poisonPropagated, b.poisonPropagated);
+    EXPECT_EQ(a.poisonCleared, b.poisonCleared);
+    ASSERT_EQ(a.events.size(), b.events.size());
+    for (std::size_t i = 0; i < a.events.size(); ++i) {
+        EXPECT_EQ(a.events[i].time, b.events[i].time);
+        EXPECT_EQ(a.events[i].channel, b.events[i].channel);
+        EXPECT_EQ(a.events[i].kind, b.events[i].kind);
+        EXPECT_EQ(a.events[i].addr, b.events[i].addr);
+    }
+    EXPECT_EQ(a.traceNames, b.traceNames);
+    ASSERT_EQ(a.traceSamples.size(), b.traceSamples.size());
+    for (std::size_t i = 0; i < a.traceSamples.size(); ++i) {
+        EXPECT_EQ(a.traceSamples[i].time, b.traceSamples[i].time);
+        EXPECT_EQ(a.traceSamples[i].value, b.traceSamples[i].value);
+    }
+}
+
+/**
+ * Mixed demand kinds, LLC re-touches among misses, NT stores and a DMA
+ * copy, over epochs small enough that every call crosses boundaries.
+ */
+RunDigest
+driveMixed(MemoryMode mode, bool per_line)
+{
+    SystemConfig cfg = config(mode);
+    cfg.epochBytes = 64 * kKiB;
+    MemorySystem sys(cfg);
+    if (per_line)
+        sys.setBatchedAccess(false);
+    Region a = sys.allocate(768 * kKiB, "a");
+    Region b = sys.allocate(256 * kKiB, "b");
+    sys.setActiveThreads(4);
+    sys.submit({0, CpuOp::Load, a.base, a.size});
+    sys.submit({1, CpuOp::Store, b.base, b.size});
+    // Re-touch a prefix: LLC hits interleave with misses, so the hit
+    // latencies must accumulate in the per-line order.
+    sys.submit({0, CpuOp::Load, a.base, 96 * kKiB});
+    sys.submit({2, CpuOp::NtStore, a.base + 128 * kKiB, 128 * kKiB});
+    sys.dmaCopy(b.base, a.base, 32 * kKiB);
+    sys.submit({3, CpuOp::Load, b.base, b.size});
+    sys.quiesce();
+    return digest(sys);
+}
+
+} // namespace
+
+TEST(AccessRangeEquivalence, TwoLmMixedDriveMatchesPerLine)
+{
+    RunDigest batched = driveMixed(MemoryMode::TwoLm, false);
+    EXPECT_FALSE(batched.traceSamples.empty());
+    expectIdentical(batched, driveMixed(MemoryMode::TwoLm, true));
+}
+
+TEST(AccessRangeEquivalence, OneLmMixedDriveMatchesPerLine)
+{
+    RunDigest batched = driveMixed(MemoryMode::OneLm, false);
+    EXPECT_FALSE(batched.traceSamples.empty());
+    expectIdentical(batched, driveMixed(MemoryMode::OneLm, true));
 }

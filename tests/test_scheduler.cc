@@ -4,8 +4,8 @@
  * FCFS arrival-order preservation, FR-FCFS starvation capping,
  * write-drain watermark hysteresis, backpressure-as-queue-wait, and
  * the MemorySystem-level contracts — queue-off byte identity with the
- * analytic model, queued-mode determinism across shard threads, and
- * the p99 > p50 tail that queueing exists to produce.
+ * analytic model, queue wait under load, and the p99 > p50 tail that
+ * queueing exists to produce.
  */
 
 #include <gtest/gtest.h>
@@ -324,26 +324,6 @@ TEST(QueuedMemsys, QueueOffIsByteIdenticalToDefault)
     EXPECT_EQ(a.counters().queueWaitNs, 0u);
 }
 
-TEST(QueuedMemsys, DeterministicAcrossShardThreads)
-{
-    // The queued drain is the single accumulation point, so queued
-    // output must not depend on the shard worker count.
-    MemorySystem a(queuedConfig("frfcfs"));
-    MemorySystem b(queuedConfig("frfcfs"));
-    a.setShardThreads(1);
-    b.setShardThreads(4);
-    Region ra = a.allocate(2 * kMiB, "x");
-    Region rb = b.allocate(2 * kMiB, "x");
-    a.setActiveThreads(8);
-    b.setActiveThreads(8);
-    drive(a, ra);
-    drive(b, rb);
-    a.quiesce();
-    b.quiesce();
-    EXPECT_EQ(a.now(), b.now());
-    EXPECT_EQ(a.counters().named(), b.counters().named());
-}
-
 TEST(QueuedMemsys, QueueWaitStretchesTheRunUnderLoad)
 {
     // Saturate: arrivals spaced at 200 GB/s against channels that
@@ -391,20 +371,4 @@ TEST(QueuedMemsys, SaturatedTailExceedsTheMedian)
     sys.detachTelemetry();
     tel.finish();
     EXPECT_GT(tel.quantileNs(0.99), tel.quantileNs(0.50));
-}
-
-TEST(QueuedMemsys, DeprecatedWrappersRouteThroughSubmit)
-{
-    MemorySystem a(queuedConfig("fcfs"));
-    MemorySystem b(queuedConfig("fcfs"));
-    Region ra = a.allocate(kMiB, "x");
-    Region rb = b.allocate(kMiB, "x");
-    for (Addr off = 0; off < kMiB; off += 8 * kLineSize) {
-        a.submit({0, CpuOp::Load, ra.base + off, 2 * kLineSize});
-        b.accessRange(0, CpuOp::Load, rb.base + off, 2 * kLineSize);
-    }
-    a.quiesce();
-    b.quiesce();
-    EXPECT_EQ(a.now(), b.now());
-    EXPECT_EQ(a.counters().named(), b.counters().named());
 }

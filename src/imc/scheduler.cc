@@ -73,8 +73,7 @@ class FcfsScheduler : public ChannelScheduler
     const char *kindName() const override { return "fcfs"; }
 
     SchedulerPick
-    pick(const std::deque<QueuedTx> &reads,
-         const std::deque<QueuedTx> &writes, bool,
+    pick(const TxAgeQueue &reads, const TxAgeQueue &writes, bool,
          const std::vector<BankState> &, const ControllerConfig &) override
     {
         if (reads.empty())
@@ -98,13 +97,12 @@ class ReadPriorityScheduler : public ChannelScheduler
     const char *kindName() const override { return "read_priority"; }
 
     SchedulerPick
-    pick(const std::deque<QueuedTx> &reads,
-         const std::deque<QueuedTx> &writes, bool draining,
-         const std::vector<BankState> &, const ControllerConfig &) override
+    pick(const TxAgeQueue &reads, const TxAgeQueue &writes,
+         bool draining, const std::vector<BankState> &,
+         const ControllerConfig &) override
     {
         if (!writes.empty() && (draining || reads.empty()))
             return {true, 0};
-        (void)reads;
         return {false, 0};
     }
 };
@@ -121,22 +119,20 @@ class FrfcfsScheduler : public ChannelScheduler
     const char *kindName() const override { return "frfcfs"; }
 
     SchedulerPick
-    pick(const std::deque<QueuedTx> &reads,
-         const std::deque<QueuedTx> &writes, bool draining,
-         const std::vector<BankState> &banks,
+    pick(const TxAgeQueue &reads, const TxAgeQueue &writes,
+         bool draining, const std::vector<BankState> &banks,
          const ControllerConfig &cfg) override
     {
         const bool from_writes =
             !writes.empty() && (draining || reads.empty());
-        const std::deque<QueuedTx> &q = from_writes ? writes : reads;
-        if (q.front().bypassed >= cfg.starvationCap)
+        const TxAgeQueue &q = from_writes ? writes : reads;
+        if (q.frontBypassed() >= cfg.starvationCap)
             return {from_writes, 0};
-        for (std::size_t i = 0; i < q.size(); ++i) {
-            const BankState &b = banks[q[i].bank];
-            if (b.rowValid && b.openRow == q[i].row)
-                return {from_writes, i};
-        }
-        return {from_writes, 0};
+        const std::size_t hit = q.findFirst([&](const QueuedTx &t) {
+            const BankState &b = banks[t.bank];
+            return b.rowValid && b.openRow == t.row;
+        });
+        return {from_writes, hit < q.size() ? hit : 0};
     }
 };
 
@@ -249,11 +245,31 @@ ChannelSchedulerRegistry::find(const std::string &kind) const
     return nullptr;
 }
 
+QueuedTx
+TxAgeQueue::take(std::size_t i)
+{
+    const QueuedTx out = (*this)[i];
+    if (i < size_ - 1 - i) {
+        // Fewer older entries: move them one slot younger-ward and
+        // retire the head slot.
+        for (std::size_t k = i; k > 0; --k)
+            (*this)[k] = (*this)[k - 1];
+        head_ = at(1);
+    } else {
+        for (std::size_t k = i; k + 1 < size_; ++k)
+            (*this)[k] = (*this)[k + 1];
+    }
+    --size_;
+    ++picks_;
+    return out;
+}
+
 ChannelTxQueue::ChannelTxQueue(const ControllerConfig &config,
                                double busBandwidth,
                                const RefreshConfig &refresh)
     : cfg_(config), busBandwidth_(busBandwidth), refresh_(refresh),
       sched_(ChannelSchedulerRegistry::instance().create(config)),
+      reads_(config.readQueueEntries), writes_(config.writeQueueEntries),
       banks_(config.banks)
 {
     if (!sched_)
@@ -265,9 +281,8 @@ ChannelTxQueue::ChannelTxQueue(const ControllerConfig &config,
 bool
 ChannelTxQueue::willAccept(TransactionKind kind) const
 {
-    if (kind == TransactionKind::Read)
-        return reads_.size() < cfg_.readQueueEntries;
-    return writes_.size() < cfg_.writeQueueEntries;
+    return kind == TransactionKind::Read ? !reads_.full()
+                                         : !writes_.full();
 }
 
 void
@@ -311,7 +326,7 @@ void
 ChannelTxQueue::enqueue(const Transaction &tx)
 {
     while (!willAccept(tx.kind))
-        serviceOne();  // backpressure: arrival waits as queue latency
+        issue(nextPick());  // backpressure: arrival waits as queue latency
 
     QueuedTx q;
     q.tx = tx;
@@ -319,10 +334,7 @@ ChannelTxQueue::enqueue(const Transaction &tx)
     q.bank = bankOf(tx.addr);
     q.row = rowOf(tx.addr);
     q.drainStalled = draining_;
-    std::deque<QueuedTx> &dest =
-        tx.kind == TransactionKind::Read ? reads_ : writes_;
-    q.depthAtEnqueue = static_cast<std::uint32_t>(dest.size());
-    dest.push_back(q);
+    (tx.kind == TransactionKind::Read ? reads_ : writes_).push(q);
 
     stats_.maxReadDepth = std::max(
         stats_.maxReadDepth, static_cast<std::uint32_t>(reads_.size()));
@@ -330,35 +342,43 @@ ChannelTxQueue::enqueue(const Transaction &tx)
         stats_.maxWriteDepth,
         static_cast<std::uint32_t>(writes_.size()));
 
-    // Drain-burst hysteresis: enter at the high watermark; serviceOne()
+    // Drain-burst hysteresis: enter at the high watermark; issue()
     // exits at the low one. Reads arriving during the burst will wait
     // behind it, which is what drainStalled records.
     if (!draining_ && writes_.size() >= cfg_.drainHighWatermark) {
         draining_ = true;
         ++stats_.writeDrains;
-        for (QueuedTx &r : reads_)
-            r.drainStalled = true;
+        for (std::size_t i = 0; i < reads_.size(); ++i)
+            reads_[i].drainStalled = true;
     }
 }
 
-void
-ChannelTxQueue::serviceOne()
+double
+ChannelTxQueue::issueStart(const QueuedTx &q) const
 {
-    if (reads_.empty() && writes_.empty())
-        return;
-
-    SchedulerPick p =
-        sched_->pick(reads_, writes_, draining_, banks_, cfg_);
-    std::deque<QueuedTx> &q = p.fromWrites ? writes_ : reads_;
-    QueuedTx chosen = q[p.index];
-    if (p.index != 0) {
-        // A younger (or same-age, different-bank) request bypassed
-        // everything ahead of it: count that against the starvation
-        // cap of each passed-over transaction.
-        for (std::size_t i = 0; i < p.index; ++i)
-            ++q[i].bypassed;
+    // issue() applies the refresh events due by this time first; replay
+    // them on a copy of the target bank's free time.
+    const double t = std::max(clock_, q.tx.arrival);
+    double bank_free = banks_[q.bank].freeAt;
+    if (refresh_.enabled()) {
+        const double step = refresh_.trefi / cfg_.banks;
+        double at = refreshAt_;
+        std::uint32_t b = refreshBank_;
+        while (at <= t) {
+            if (b == q.bank)
+                bank_free = std::max(bank_free, at) + refresh_.trfc;
+            b = (b + 1) % cfg_.banks;
+            at += step;
+        }
     }
-    q.erase(q.begin() + static_cast<std::ptrdiff_t>(p.index));
+    return std::max(t, std::max(busFreeAt_, bank_free));
+}
+
+void
+ChannelTxQueue::issue(SchedulerPick p)
+{
+    const QueuedTx chosen =
+        (p.fromWrites ? writes_ : reads_).take(p.index);
 
     applyRefresh(std::max(clock_, chosen.tx.arrival));
     BankState &bank = banks_[chosen.bank];
@@ -410,9 +430,11 @@ void
 ChannelTxQueue::tick(double until)
 {
     while (!reads_.empty() || !writes_.empty()) {
-        if (clock_ > until)
+        const SchedulerPick p = nextPick();
+        const TxAgeQueue &q = p.fromWrites ? writes_ : reads_;
+        if (issueStart(q[p.index]) > until)
             break;
-        serviceOne();
+        issue(p);
     }
 }
 
@@ -420,7 +442,7 @@ void
 ChannelTxQueue::drainAll()
 {
     while (!reads_.empty() || !writes_.empty())
-        serviceOne();
+        issue(nextPick());
 }
 
 void

@@ -27,8 +27,8 @@
 #ifndef NVSIM_IMC_SCHEDULER_HH
 #define NVSIM_IMC_SCHEDULER_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -95,14 +95,94 @@ struct QueuedTx
 {
     Transaction tx;
     std::uint64_t seq = 0;        //!< global arrival sequence number
-    std::uint32_t bank = 0;
     std::uint64_t row = 0;
-    /** Times a younger request issued ahead of this one (frfcfs). */
-    std::uint32_t bypassed = 0;
+    std::uint32_t bank = 0;
     /** Same-queue occupancy when this transaction arrived. */
     std::uint32_t depthAtEnqueue = 0;
+    /** The queue's pick count when this transaction arrived. */
+    std::uint32_t picksAtEnqueue = 0;
     /** Spent time queued behind an active WPQ drain burst. */
     bool drainStalled = false;
+};
+
+/**
+ * One controller queue (read queue or WPQ): transactions in arrival
+ * order, index 0 the oldest, held in a ring of exactly `capacity`
+ * slots allocated at construction. Nothing grows: the controller
+ * checks full() before every push. Removing a transaction from the
+ * middle shifts whichever side of it is shorter, so the common pick
+ * of the oldest entry moves nothing.
+ *
+ * The queue also counts its picks, which makes the FR-FCFS starvation
+ * count O(1): every transaction that was older than the front one when
+ * it arrived (depthAtEnqueue of them) has issued since, so each other
+ * pick made since its arrival issued a younger transaction ahead of it.
+ */
+class TxAgeQueue
+{
+  public:
+    explicit TxAgeQueue(std::size_t capacity) : slots_(capacity) {}
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    bool full() const { return size_ == slots_.size(); }
+
+    /** The @p i-th oldest queued transaction. */
+    const QueuedTx &operator[](std::size_t i) const { return slots_[at(i)]; }
+    QueuedTx &operator[](std::size_t i) { return slots_[at(i)]; }
+    const QueuedTx &front() const { return slots_[head_]; }
+
+    /** Append @p q as the youngest; stamps its arrival bookkeeping. */
+    void
+    push(QueuedTx q)
+    {
+        q.depthAtEnqueue = static_cast<std::uint32_t>(size_);
+        q.picksAtEnqueue = picks_;
+        slots_[at(size_)] = q;
+        ++size_;
+    }
+
+    /** Index of the oldest entry satisfying @p pred, or size(). */
+    template <class Pred>
+    std::size_t
+    findFirst(Pred pred) const
+    {
+        // Walk the ring as its two contiguous runs: head to the end of
+        // the storage, then the wrapped part from slot 0.
+        const std::size_t run = std::min(size_, slots_.size() - head_);
+        const QueuedTx *p = slots_.data() + head_;
+        for (std::size_t i = 0; i < run; ++i)
+            if (pred(p[i]))
+                return i;
+        for (std::size_t i = run; i < size_; ++i)
+            if (pred(slots_[i - run]))
+                return i;
+        return size_;
+    }
+
+    /** Remove and return the @p i-th oldest; counts as one pick. */
+    QueuedTx take(std::size_t i);
+
+    /** Times a younger transaction issued ahead of front(). */
+    std::uint32_t
+    frontBypassed() const
+    {
+        // Unsigned wrap-around keeps the difference exact.
+        return picks_ - front().picksAtEnqueue - front().depthAtEnqueue;
+    }
+
+  private:
+    std::size_t
+    at(std::size_t i) const
+    {
+        const std::size_t j = head_ + i;
+        return j < slots_.size() ? j : j - slots_.size();
+    }
+
+    std::vector<QueuedTx> slots_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+    std::uint32_t picks_ = 0;
 };
 
 /** A scheduler's decision: which queue, which position. */
@@ -126,8 +206,8 @@ class ChannelScheduler
     /** Registry key this scheduler was constructed under. */
     virtual const char *kindName() const = 0;
 
-    virtual SchedulerPick pick(const std::deque<QueuedTx> &reads,
-                               const std::deque<QueuedTx> &writes,
+    virtual SchedulerPick pick(const TxAgeQueue &reads,
+                               const TxAgeQueue &writes,
                                bool draining,
                                const std::vector<BankState> &banks,
                                const ControllerConfig &cfg) = 0;
@@ -195,18 +275,18 @@ struct TxQueueStats
 
 /**
  * One channel's queue engine. Single-threaded, like the controller
- * that owns it: the MemorySystem drives it from the deterministic
- * epoch-end drain, so queued-mode output is byte-identical at any
- * --jobs by construction.
+ * that owns it: the MemorySystem feeds it as each request issues and
+ * drains it at the epoch boundary in fixed channel order, so
+ * queued-mode output is byte-identical at any --jobs by construction.
  *
- * Time model: the engine keeps an epoch-relative clock. enqueue()
- * advances it to the transaction's arrival and, when the target queue
- * is full, services queued work first — backpressure surfaces as
- * queue wait, exactly the WillAcceptTransaction contract. Each issue
- * start is max(clock, bus free, bank free, arrival); a row mismatch
- * adds the conflict penalty; refresh blocks one bank per tREFI/banks
- * in a staggered round-robin (per-bank refresh windows, not the
- * analytic epoch-mean stall).
+ * Time model: the engine keeps an epoch-relative clock, the start of
+ * the last issue. enqueue() does not move it: a transaction only
+ * issues when the target queue is full (backpressure surfaces as
+ * queue wait, the WillAcceptTransaction contract), under tick(), or
+ * in drainAll(). Each issue start is max(clock, bus free, bank free,
+ * arrival); a row mismatch adds the conflict penalty; refresh blocks
+ * one bank per tREFI/banks in a staggered round-robin (per-bank
+ * refresh windows, not the analytic epoch-mean stall).
  */
 class ChannelTxQueue
 {
@@ -218,13 +298,16 @@ class ChannelTxQueue
     bool willAccept(TransactionKind kind) const;
 
     /**
-     * Hand over a transaction. Advances the clock to tx.arrival; when
-     * the target queue is full, services queued transactions until a
-     * slot frees (their completions fire from inside this call).
+     * Hand over a transaction. When the target queue is full, services
+     * queued transactions until a slot frees (their completions fire
+     * from inside this call); otherwise only queues it.
      */
     void enqueue(const Transaction &tx);
 
-    /** Service queued transactions whose issue time is <= @p until. */
+    /**
+     * Service queued transactions, in scheduler order, while the next
+     * pick would start issuing at or before @p until.
+     */
     void tick(double until);
 
     /** Service everything queued (epoch barrier / quiesce). */
@@ -250,8 +333,18 @@ class ChannelTxQueue
     const ChannelScheduler &scheduler() const { return *sched_; }
 
   private:
-    /** Issue the scheduler's next pick; fires its completion. */
-    void serviceOne();
+    /** The scheduler's next pick; at least one queue is non-empty. */
+    SchedulerPick
+    nextPick()
+    {
+        return sched_->pick(reads_, writes_, draining_, banks_, cfg_);
+    }
+
+    /** Issue @p p; fires its completion. */
+    void issue(SchedulerPick p);
+
+    /** When @p q would start issuing now; changes no state. */
+    double issueStart(const QueuedTx &q) const;
 
     /** Apply staggered per-bank refresh events up to time @p t. */
     void applyRefresh(double t);
@@ -265,8 +358,8 @@ class ChannelTxQueue
     std::unique_ptr<ChannelScheduler> sched_;
     CompletionHandler onComplete_;
 
-    std::deque<QueuedTx> reads_;
-    std::deque<QueuedTx> writes_;
+    TxAgeQueue reads_;
+    TxAgeQueue writes_;
     std::vector<BankState> banks_;
     double clock_ = 0;        //!< last issue start (epoch seconds)
     double busFreeAt_ = 0;

@@ -492,20 +492,29 @@ MemorySystem::issueToImc(MemRequestKind kind, Addr line_addr,
     if (queued_) {
         // Queued controller: the channel already moved the data (its
         // counters, cache state and fault draws are the analytic
-        // model's), but the request's latency is decided by queue
-        // occupancy at the epoch drain. Log it in arrival order.
-        QueuedDemandRec rec;
-        rec.service = res.latency;
-        rec.local = local;
-        rec.ch = ch_idx;
-        rec.thread = static_cast<std::uint16_t>(thread);
-        rec.kind = kind == MemRequestKind::LlcRead ? 1 : 2;
-        rec.chargeDemand = charge_demand;
+        // model's), but a read's latency is decided by queue occupancy.
+        Transaction tx;
+        tx.addr = local;
+        tx.arrival = txArrival_;
+        txArrival_ += static_cast<double>(kLineSize) / offeredBandwidth();
+        tx.service = res.latency;
+        tx.kind = kind == MemRequestKind::LlcRead ? TransactionKind::Read
+                                                  : TransactionKind::Write;
+        tx.thread = static_cast<std::uint16_t>(thread);
+        tx.chargeDemand = charge_demand;
         if (req.traced) {
-            rec.causal = static_cast<std::int32_t>(txCausal_.size());
+            tx.tag = static_cast<std::int32_t>(txCausal_.size());
             txCausal_.push_back({kind, res.outcome, res.breakdown});
         }
-        txLog_.push_back(rec);
+        if (tx.kind == TransactionKind::Write && charge_demand) {
+            // Posted write: the CPU-visible cost is the analytic
+            // accept time, charged now; the WPQ residency is pure
+            // interference.
+            epochLatencyWork_ += res.latency;
+            if (tel_)
+                tel_->noteLatency(res.latency);
+        }
+        ch.enqueue(tx);
     } else if (charge_demand) {
         epochLatencyWork_ += res.latency;
         if (tel_)
@@ -514,7 +523,7 @@ MemorySystem::issueToImc(MemRequestKind kind, Addr line_addr,
     if (obs_) {
         // noteRequest carries the analytic (service) latency even in
         // queued mode: it feeds outcome/action counts; the queue-aware
-        // totals reach the causal tracer and telemetry at the drain.
+        // totals reach the causal tracer and telemetry at completion.
         obs_->noteRequest(charge_demand, res.outcome,
                           res.actions.total(), res.latency);
         if (req.traced && !queued_) {
@@ -535,22 +544,11 @@ MemorySystem::touchLine(unsigned thread, CpuOp op, Addr line_addr)
         LlcResult lr = llc_.access(line_addr, op == CpuOp::Store);
         epochLoadBytes_ += kLineSize;
         if (lr.hit) {
-            if (queued_) {
-                // The hit's latency contribution must interleave with
-                // the queued misses' in program order (floating-point
-                // accumulation): it accumulates at its txLog_ position.
-                QueuedDemandRec rec;
-                rec.kind = 0;
-                txLog_.push_back(rec);
-                if (obs_)
-                    obs_->noteLlcHit();
-            } else {
-                epochLatencyWork_ += config_.llcHitLatency;
-                if (tel_)
-                    tel_->noteLatency(config_.llcHitLatency);
-                if (obs_)
-                    obs_->noteLlcHit();
-            }
+            epochLatencyWork_ += config_.llcHitLatency;
+            if (tel_)
+                tel_->noteLatency(config_.llcHitLatency);
+            if (obs_)
+                obs_->noteLlcHit();
         } else {
             // Load miss or store RFO.
             issueToImc(MemRequestKind::LlcRead, line_addr, thread);
@@ -581,8 +579,8 @@ MemorySystem::submit(const AccessBatch &batch)
 
     // The reference per-line engine: required whenever per-request
     // hooks may fire (observer, faults), addresses are remapped
-    // (scattered pages), requests must be logged for the queued
-    // controller, or batching is disabled.
+    // (scattered pages), requests feed the queued controller one by
+    // one, or batching is disabled.
     if (!batched_ || obs_ || faultEnabled_ || maintEnabled_ || queued_ ||
         config_.scatterPages) {
         for (Addr line = first; line <= last; line += kLineSize)
@@ -803,27 +801,24 @@ MemorySystem::onTxComplete(unsigned ch_idx, const Transaction &tx,
         if (tel_)
             tel_->noteLatency(total);
     }
-    if (tx.tag < 0 || !obs_)
+    if (tx.tag < 0)
         return;
-    obs::CausalTracer *causal = obs_->causal();
-    if (!causal)
-        return;
-    // Emit the deferred causal record with the queue's spans appended:
-    // the analytic breakdown captured at issue, plus what the request
-    // actually waited for at the controller.
-    PendingCausal &pc =
-        txCausal_[static_cast<std::size_t>(tx.tag)];
-    CausalBreakdown b = pc.breakdown;
+    // Append what the request actually waited for at the controller to
+    // the analytic breakdown captured at issue. The record is emitted
+    // at the epoch drain, under the causal context current there.
+    PendingCausal &pc = txCausal_[static_cast<std::size_t>(tx.tag)];
     if (info.latency.queueWait > 0) {
-        b.add(info.drainStalled ? AccessCause::WriteDrain
-                                : AccessCause::QueueWait,
-              MemPool::Dram, info.latency.queueWait);
+        pc.breakdown.add(info.drainStalled ? AccessCause::WriteDrain
+                                           : AccessCause::QueueWait,
+                         MemPool::Dram, info.latency.queueWait);
     }
     if (info.latency.bankPenalty > 0) {
-        b.add(AccessCause::BankConflict, MemPool::Dram,
-              info.latency.bankPenalty);
+        pc.breakdown.add(AccessCause::BankConflict, MemPool::Dram,
+                         info.latency.bankPenalty);
     }
-    causal->record(pc.kind, pc.outcome, b, now_, total, ch_idx);
+    pc.latency = total;
+    pc.channel = ch_idx;
+    txTraced_.push_back(tx.tag);
 }
 
 void
@@ -831,60 +826,29 @@ MemorySystem::runQueuedDrain()
 {
     if (!queued_)
         return;
-    if (txLog_.empty()) {
-        txCausal_.clear();
-        return;
-    }
-
-    // Offered-load clock: demand arrives at the controllers at the
-    // rate the demand side can issue it, one line per tick across the
-    // interleave. LLC hits never reach a controller, so they do not
-    // advance the clock.
-    const double gap = static_cast<double>(kLineSize) /
-                       offeredBandwidth();
-    double arrival = 0;
-    for (const QueuedDemandRec &rec : txLog_) {
-        if (rec.kind == 0) {
-            epochLatencyWork_ += config_.llcHitLatency;
-            if (tel_)
-                tel_->noteLatency(config_.llcHitLatency);
-            continue;
-        }
-        Transaction tx;
-        tx.addr = rec.local;
-        tx.arrival = arrival;
-        arrival += gap;
-        tx.service = rec.service;
-        tx.kind = rec.kind == 1 ? TransactionKind::Read
-                                : TransactionKind::Write;
-        tx.thread = rec.thread;
-        tx.chargeDemand = rec.chargeDemand;
-        tx.tag = rec.causal;
-        if (tx.kind == TransactionKind::Write && tx.chargeDemand) {
-            // Posted write: the CPU-visible cost is the analytic
-            // accept time, charged at the write's program-order
-            // position; the WPQ residency below is pure interference.
-            epochLatencyWork_ += rec.service;
-            if (tel_)
-                tel_->noteLatency(rec.service);
-        }
-        channels_[rec.ch].enqueue(tx);
-    }
-
     // Fixed channel order: the single accumulation point that keeps
     // queued output byte-identical at any --jobs.
     for (auto &ch : channels_)
         ch.drainQueues();
-    txLog_.clear();
+    txArrival_ = 0;
+    if (obs::CausalTracer *causal = obs_ ? obs_->causal() : nullptr) {
+        for (std::int32_t tag : txTraced_) {
+            const PendingCausal &pc =
+                txCausal_[static_cast<std::size_t>(tag)];
+            causal->record(pc.kind, pc.outcome, pc.breakdown, now_,
+                           pc.latency, pc.channel);
+        }
+    }
+    txTraced_.clear();
     txCausal_.clear();
 }
 
 void
 MemorySystem::finishEpoch()
 {
-    // The queued controller replays the epoch's arrival log through the
-    // channel queues first, folding queue wait into the latency work
-    // and the queue counters before anything samples them.
+    // The queued controller drains its channel queues first, folding
+    // queue wait into the latency work and the queue counters before
+    // anything samples them.
     runQueuedDrain();
 
     // Resource-side: each channel moves its epoch traffic in parallel

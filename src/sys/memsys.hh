@@ -303,40 +303,37 @@ class MemorySystem
     void clearPoison(Addr phys_line);
 
     /** @name Queued controller (config_.controller.queued())
-     * In queued mode every demand event is logged in arrival order
-     * during the epoch — the channels still run their analytic model
-     * immediately (counters, faults, device state are identical) but
-     * latency accumulation is deferred. At the epoch boundary
-     * runQueuedDrain() replays the log single-threaded: LLC hits and
-     * posted writes accumulate at their log position, reads are
-     * enqueued as Transactions (arrival clock spaced by the offered
-     * bandwidth) and their latency — analytic service plus queue wait
-     * plus bank penalty — lands via onTxComplete() when the per-channel
-     * queues drain in fixed channel order. One accumulation point, so
-     * output is byte-identical at any --jobs.
+     * In queued mode each controller request is enqueued as it issues.
+     * The channel still runs its analytic model first (counters,
+     * faults and device state are identical), and its latency becomes
+     * the Transaction's service time. Arrivals are spaced by the
+     * offered bandwidth on an epoch-relative clock. LLC hits and posted
+     * writes charge their latency at their program position, exactly
+     * as in analytic mode; a read's latency (analytic service plus
+     * queue wait plus bank penalty) lands via onTxComplete() when its
+     * queue issues it: under backpressure inside a later enqueue, or
+     * when runQueuedDrain() empties the channels in fixed order at the
+     * epoch boundary. Single-threaded, so output is byte-identical at
+     * any --jobs.
      */
     ///@{
-    /** One arrival-ordered demand event awaiting the epoch drain. */
-    struct QueuedDemandRec
-    {
-        double service = 0;        //!< analytic channel latency (s)
-        Addr local = 0;            //!< channel-local address
-        std::uint32_t ch = 0;      //!< channel index
-        std::uint16_t thread = 0;  //!< issuing thread
-        std::uint8_t kind = 0;     //!< 0 = LLC hit, 1 = read, 2 = write
-        bool chargeDemand = true;  //!< false for DMA interference
-        std::int32_t causal = -1;  //!< index into txCausal_, or -1
-    };
-
-    /** Causal-trace state captured at issue, emitted at completion. */
+    /** Causal-trace state of one sampled queued request. */
     struct PendingCausal
     {
         MemRequestKind kind = MemRequestKind::LlcRead;
         CacheOutcome outcome = CacheOutcome::Hit;
+        /** The analytic spans captured at issue; the queue spans are
+         *  appended at completion. */
         CausalBreakdown breakdown;
+        double latency = 0;    //!< queue-aware total, set at completion
+        unsigned channel = 0;  //!< set at completion
     };
 
-    /** Replay txLog_ through the channel queues; epoch boundary only. */
+    /**
+     * Epoch boundary: drain every channel's queues in fixed order,
+     * emit the sampled requests' causal records in completion order
+     * and restart the arrival clock.
+     */
     void runQueuedDrain();
 
     /** Completion callback from channel @p ch_idx's transaction queue. */
@@ -456,10 +453,11 @@ class MemorySystem
     bool maintEnabled_ = false;
     FaultLog faultLog_;
     // Cached config_.controller.queued(): forces the reference engine
-    // and redirects latency accumulation through txLog_.
+    // and routes controller requests through the channel queues.
     bool queued_ = false;
-    std::vector<QueuedDemandRec> txLog_;   //!< arrival-ordered events
-    std::vector<PendingCausal> txCausal_;  //!< deferred causal spans
+    double txArrival_ = 0;  //!< next arrival time (epoch seconds)
+    std::vector<PendingCausal> txCausal_;  //!< by Transaction::tag
+    std::vector<std::int32_t> txTraced_;   //!< tags, completion order
     std::unordered_set<Addr> poisoned_;     //!< poisoned phys lines
     std::vector<unsigned> online_;          //!< online channel indices
     std::vector<ChannelEpoch> epochScratch_;

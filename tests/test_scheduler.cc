@@ -281,6 +281,45 @@ TEST(TxQueue, CompletionLatencyDecomposes)
     EXPECT_DOUBLE_EQ(h.info[1].latency.bankPenalty, 0);
 }
 
+TEST(TxQueue, TickIssuesOnlyPicksStartingByTheDeadline)
+{
+    Harness h(qcfg("fcfs"));
+    h.q.enqueue(readTx(0, 5e-6));
+    h.q.tick(1e-6);  // the read cannot start before it arrives
+    EXPECT_EQ(h.q.readDepth(), 1u);
+    EXPECT_TRUE(h.done.empty());
+
+    h.q.tick(5e-6);
+    EXPECT_EQ(h.q.readDepth(), 0u);
+    ASSERT_EQ(h.done.size(), 1u);
+    EXPECT_EQ(h.info[0].issueTime, 5e-6);
+}
+
+TEST(TxQueue, TickSeesRefreshWithoutApplyingIt)
+{
+    // Four banks, one REF per 1 us in rotation: bank 0 is refreshed at
+    // 1 us and busy until 1.35 us, so a read to it arriving at 1 us
+    // starts at 1.35 us. A tick short of that must issue nothing and
+    // leave the refresh cadence as it was.
+    RefreshConfig refresh;
+    refresh.trefi = 4e-6;
+    refresh.trfc = 350e-9;
+    Harness ticked(qcfg("fcfs"), refresh);
+    Harness plain(qcfg("fcfs"), refresh);
+    ticked.q.enqueue(readTx(0, 1e-6));
+    plain.q.enqueue(readTx(0, 1e-6));
+
+    ticked.q.tick(1.3e-6);
+    EXPECT_TRUE(ticked.done.empty());
+    ticked.q.tick(2e-6);
+    plain.q.drainAll();
+    ASSERT_EQ(ticked.done.size(), 1u);
+    ASSERT_EQ(plain.done.size(), 1u);
+    EXPECT_EQ(ticked.info[0].issueTime, 1e-6 + 350e-9);
+    EXPECT_EQ(ticked.info[0].issueTime, plain.info[0].issueTime);
+    EXPECT_EQ(ticked.info[0].completeTime, plain.info[0].completeTime);
+}
+
 TEST(TxQueue, PerBankRefreshBlocksBanks)
 {
     RefreshConfig refresh;

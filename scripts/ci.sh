@@ -149,6 +149,32 @@ diff "$root/tests/golden/table1_stdout.txt" "$gold_dir/table1_stdout.txt"
 rm -rf "$gold_dir"
 echo "golden byte-diff passed: default-policy outputs match the seed."
 
+# Demand-paged goldens: the DNN, DLRM and batch-scaling benches run
+# with OS demand paging (scatterPages), which the batched engine
+# serves. Their CSVs must match tests/golden/ byte for byte on the
+# batched engine and on the per-line reference alike.
+echo "=== demand-paged golden byte-diff (--jobs=4 and --per-line) ==="
+dp_dir=$(mktemp -d)
+for variant in "jobs4 --jobs=4" "perline --jobs=4 --per-line"; do
+    name=${variant%% *}
+    flags=${variant#* }
+    mkdir -p "$dp_dir/$name"
+    for bench in fig5_densenet_trace fig6_kernel_snapshot \
+                 fig10_autotm_trace table2_cnn_comparison \
+                 ext_batch_scaling ext_dlrm; do
+        # shellcheck disable=SC2086  # flags is a word list by design
+        (cd "$dp_dir/$name" && \
+            "$root/build/bench/bench_$bench" $flags > /dev/null)
+    done
+    for csv in fig5_arena_map fig5_traces fig6_kernel_snapshot \
+               fig10_autotm_trace table2_cnn_comparison \
+               ext_batch_scaling ext_dlrm; do
+        diff "$root/tests/golden/$csv.csv" "$dp_dir/$name/$csv.csv"
+    done
+done
+rm -rf "$dp_dir"
+echo "demand-paged byte-diff passed: both engines match the goldens."
+
 # Maintenance-off equivalence: a config that spells the whole
 # maintenance block out explicitly, with every engine off, must
 # reproduce the golden figure outputs byte-for-byte — the subsystem is

@@ -36,8 +36,10 @@ Executor::streamRange(MemorySystem &sys, Addr base, Bytes bytes,
     unsigned thread = 0;
     while (done < bytes) {
         Bytes n = std::min(chunk, bytes - done);
-        for (Bytes off = 0; off < n; off += kLineSize)
-            sys.touchLine(thread, op, lineBase(base + done + off));
+        // One submit per chunk: ceil(n / 64) lines from the chunk's
+        // line base.
+        sys.submit({thread, op, lineBase(base + done),
+                    (n + kLineSize - 1) & ~(kLineSize - 1)});
         if (compute_share_per_byte > 0)
             sys.addComputeTime(compute_share_per_byte *
                                static_cast<double>(n));

@@ -87,7 +87,8 @@ class Executor
 
     /**
      * Stream one tensor-sized range through the memory system with the
-     * kernel's compute share interleaved. Shared with AutoTmExecutor.
+     * kernel's compute share interleaved: one submit() per chunk,
+     * chunks round-robin across threads. Shared with AutoTmExecutor.
      */
     static void streamRange(MemorySystem &sys, Addr base, Bytes bytes,
                             CpuOp op, unsigned threads, Bytes chunk,

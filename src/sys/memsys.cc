@@ -535,9 +535,16 @@ MemorySystem::issueToImc(MemRequestKind kind, Addr line_addr,
         noteRequestFaults(res.fault, kind, phys, ch_idx, charge_demand);
 }
 
-void
-MemorySystem::touchLine(unsigned thread, CpuOp op, Addr line_addr)
+template <bool Fast>
+inline void
+MemorySystem::accessLine(unsigned thread, CpuOp op, Addr line_addr)
 {
+    auto issue = [&](MemRequestKind kind, Addr line) {
+        if constexpr (Fast)
+            issueFast(kind, line, static_cast<std::uint16_t>(thread));
+        else
+            issueToImc(kind, line, thread);
+    };
     switch (op) {
       case CpuOp::Load:
       case CpuOp::Store: {
@@ -547,25 +554,48 @@ MemorySystem::touchLine(unsigned thread, CpuOp op, Addr line_addr)
             epochLatencyWork_ += config_.llcHitLatency;
             if (tel_)
                 tel_->noteLatency(config_.llcHitLatency);
-            if (obs_)
+            if (!Fast && obs_)
                 obs_->noteLlcHit();
         } else {
             // Load miss or store RFO.
-            issueToImc(MemRequestKind::LlcRead, line_addr, thread);
+            issue(MemRequestKind::LlcRead, line_addr);
             if (lr.evictedDirty)
-                issueToImc(MemRequestKind::LlcWrite, lr.victim, thread);
+                issue(MemRequestKind::LlcWrite, lr.victim);
         }
         break;
       }
       case CpuOp::NtStore: {
         llc_.invalidateLine(line_addr);
         epochNtStoreBytes_ += kLineSize;
-        issueToImc(MemRequestKind::LlcWrite, line_addr, thread);
+        issue(MemRequestKind::LlcWrite, line_addr);
         break;
       }
     }
     epochDemandBytes_ += kLineSize;
     maybeFinishEpoch();
+}
+
+void
+MemorySystem::issueFast(MemRequestKind kind, Addr line_addr,
+                        std::uint16_t thread)
+{
+    const Addr phys = translate(line_addr);
+    Addr local;
+    const unsigned ch_idx = online_[imap_.route(phys, local)];
+    const double lat =
+        channels_[ch_idx].handleFast(kind, local, thread, poolOf(phys));
+    epochLatencyWork_ += lat;
+    if (tel_)
+        tel_->noteLatency(lat);
+}
+
+void
+MemorySystem::touchLine(unsigned thread, CpuOp op, Addr line_addr)
+{
+    if (referenceEngine())
+        accessLine<false>(thread, op, line_addr);
+    else
+        accessLine<true>(thread, op, line_addr);
 }
 
 void
@@ -578,13 +608,17 @@ MemorySystem::submit(const AccessBatch &batch)
         lineBase(batch.addr + (batch.size ? batch.size - 1 : 0));
 
     // The reference per-line engine: required whenever per-request
-    // hooks may fire (observer, faults), addresses are remapped
-    // (scattered pages), requests feed the queued controller one by
-    // one, or batching is disabled.
-    if (!batched_ || obs_ || faultEnabled_ || maintEnabled_ || queued_ ||
-        config_.scatterPages) {
+    // hooks may fire (observer, faults, maintenance), requests feed the
+    // queued controller one by one, or batching is disabled.
+    if (referenceEngine()) {
         for (Addr line = first; line <= last; line += kLineSize)
-            touchLine(thread, op, line);
+            accessLine<false>(thread, op, line);
+        return;
+    }
+
+    // One line (a graph kernel's 4 B or 16 B element): no segments.
+    if (first == last) {
+        accessLine<true>(thread, op, first);
         return;
     }
 
@@ -613,7 +647,7 @@ MemorySystem::fastRange(unsigned thread, CpuOp op, Addr first,
     const bool two_lm = config_.mode == MemoryMode::TwoLm;
     const std::uint16_t tid = static_cast<std::uint16_t>(thread);
 
-    // One device line (2LM access or dirty-victim writeback).
+    // One device line on an already routed channel (2LM access).
     auto single = [&](unsigned ch_idx, Addr local, MemRequestKind kind,
                       MemPool pool) {
         double lat = channels_[ch_idx].handleFast(kind, local, tid, pool);
@@ -636,20 +670,32 @@ MemorySystem::fastRange(unsigned thread, CpuOp op, Addr first,
     Addr a = first;
     std::uint64_t left = lines;
     while (left) {
-        // One segment: consecutive lines within one interleave chunk
-        // (one channel) and one pool, so the channel routing and the
-        // local-address math hoist out of the line loop.
+        // One segment: consecutive lines within one virtual page (one
+        // translation), one physical interleave chunk (one channel)
+        // and one pool, so the translation, the channel routing and
+        // the local-address math hoist out of the line loop. An
+        // unmapped page has no line in the LLC, so the segment's first
+        // line is a miss and translating it here allocates the frame
+        // exactly where the per-line loop would.
         Addr seg_end = a + left * kLineSize;
-        Addr chunk_end = (a / gran + 1) * gran;
-        if (chunk_end < seg_end)
-            seg_end = chunk_end;
-        if (a < dramPoolSize_ && dramPoolSize_ < seg_end)
-            seg_end = dramPoolSize_;
-        std::uint64_t n = (seg_end - a) / kLineSize;
+        if (pageSize_) {
+            const Addr page_end = (a / pageSize_ + 1) * pageSize_;
+            if (page_end < seg_end)
+                seg_end = page_end;
+        }
+        const Addr phys = translate(a);
+        Addr phys_end = phys + (seg_end - a);
+        const Addr chunk_end = (phys / gran + 1) * gran;
+        if (chunk_end < phys_end)
+            phys_end = chunk_end;
+        if (phys < dramPoolSize_ && dramPoolSize_ < phys_end)
+            phys_end = dramPoolSize_;
+        seg_end = a + (phys_end - phys);
+        const std::uint64_t n = (seg_end - a) / kLineSize;
 
-        MemPool pool = a < dramPoolSize_ ? MemPool::Dram : MemPool::Nvram;
+        const MemPool pool = poolOf(phys);
         Addr local;
-        const unsigned ch_idx = online_[imap_.route(a, local)];
+        const unsigned ch_idx = online_[imap_.route(phys, local)];
 
         if (op == CpuOp::NtStore) {
             for (Addr la = a; la < seg_end; la += kLineSize)
@@ -679,12 +725,6 @@ MemorySystem::fastRange(unsigned thread, CpuOp op, Addr first,
                     pool);
                 run_lines = 0;
             };
-            auto issue_victim = [&](Addr victim) {
-                Addr vlocal;
-                unsigned vch = online_[imap_.route(victim, vlocal)];
-                single(vch, vlocal, MemRequestKind::LlcWrite,
-                       poolOf(victim));
-            };
             Addr ll = local;
             for (Addr la = a; la < seg_end;
                  la += kLineSize, ll += kLineSize) {
@@ -699,14 +739,14 @@ MemorySystem::fastRange(unsigned thread, CpuOp op, Addr first,
                 if (two_lm) {
                     single(ch_idx, ll, MemRequestKind::LlcRead, pool);
                     if (lr.evictedDirty)
-                        issue_victim(lr.victim);
+                        issueFast(MemRequestKind::LlcWrite, lr.victim, tid);
                 } else {
                     if (!run_lines)
                         run_local = ll;
                     ++run_lines;
                     if (lr.evictedDirty) {
                         flush_run();
-                        issue_victim(lr.victim);
+                        issueFast(MemRequestKind::LlcWrite, lr.victim, tid);
                     }
                 }
             }

@@ -66,7 +66,10 @@ struct Region
  * One demand access, as submit() consumes it: a thread's operation
  * over a byte range, split into 64 B lines by the engine. The single
  * unit of work for every access engine — per-line reference, batched,
- * queued — so callers never choose an engine by method name.
+ * queued — so callers never choose an engine by method name. A batch
+ * may be a 4 B graph element or a whole DNN tensor chunk; a batch that
+ * covers one line takes the batched engine's one-line path, a longer
+ * one its segmented range path.
  */
 struct AccessBatch
 {
@@ -109,25 +112,33 @@ class MemorySystem
     /**
      * THE demand entry point: walk the run of consecutive lines
      * covering [addr, addr + size). The engine behind it is chosen
-     * here, not by the caller: the batched fast path when nothing
-     * needs per-request hooks, the per-line reference loop whenever an
-     * observer is attached, faults/maintenance are enabled, pages are
-     * scattered, the queued controller is configured, or batching is
-     * disabled via setBatchedAccess() — all bit-identical where they
-     * overlap. With the queued controller the request's analytic
-     * service cost becomes a Transaction enqueued at the channel and
-     * its latency emerges from queue occupancy at the epoch drain.
+     * here, not by the caller. The batched engine serves identity and
+     * demand-paged (scatterPages) address spaces alike: a one-line
+     * batch takes an inline path (LLC, translate, route, one device
+     * request), a longer one is cut into page/chunk/pool segments. The
+     * per-line reference loop runs whenever an observer is attached,
+     * faults/maintenance are enabled, the queued controller is
+     * configured, or batching is disabled via setBatchedAccess() — the
+     * two are bit-identical where they overlap, including the order in
+     * which first-touch page frames are allocated. With the queued
+     * controller the request's analytic service cost becomes a
+     * Transaction enqueued at the channel and its latency emerges from
+     * queue occupancy at the epoch drain.
      */
     void submit(const AccessBatch &batch);
 
-    /** Fast path: one already line-aligned line. */
+    /**
+     * One already line-aligned line: the same body as a one-line
+     * submit(), under the same engine choice.
+     */
     void touchLine(unsigned thread, CpuOp op, Addr line_addr);
 
     /**
-     * Select the engine behind submit() at runtime: batched (default)
-     * or the reference per-line loop. Both produce bit-identical
-     * results; the toggle exists for the equivalence tests and the
-     * benches' --per-line flag.
+     * Select the engine behind submit() and touchLine() at runtime:
+     * batched (default) or the reference per-line loop. Both produce
+     * bit-identical results, scattered pages included; the toggle
+     * exists for the equivalence tests and the benches' --per-line
+     * flag.
      */
     void setBatchedAccess(bool on) { batched_ = on; }
     bool batchedAccess() const { return batched_; }
@@ -277,14 +288,43 @@ class MemorySystem
     void issueToImc(MemRequestKind kind, Addr line_addr, unsigned thread,
                     bool charge_demand = true);
 
+    /** submit() and touchLine() must take the per-line reference. */
+    bool
+    referenceEngine() const
+    {
+        return !batched_ || obs_ || faultEnabled_ || maintEnabled_ ||
+               queued_;
+    }
+
+    /**
+     * One demand line, the body both engines share: LLC, then the
+     * device request of a miss, an NT store or a dirty victim, then
+     * the epoch check. @p Fast issues through issueFast(); otherwise
+     * through issueToImc() with every per-request hook.
+     */
+    template <bool Fast>
+    void accessLine(unsigned thread, CpuOp op, Addr line_addr);
+
+    /**
+     * Batched engine's one-line device request: translate, route and
+     * ChannelController::handleFast(), charging the latency as demand.
+     * No MemRequest, AccessResult or fault plumbing.
+     */
+    void issueFast(MemRequestKind kind, Addr line_addr,
+                   std::uint16_t thread);
+
     /**
      * Batched engine behind submit(): @p lines consecutive lines from
      * @p first, guaranteed not to cross an epoch boundary. Only called
-     * when translate() is the identity, no observer is attached and
-     * faults are disabled. Segments the run by interleave chunk and
-     * pool and executes every LLC outcome (device single, coalesced 1LM
-     * device run, dirty-victim writeback, LLC hit) against the channels
-     * at once, accumulating latency in the per-line loop's order.
+     * when no observer is attached and faults, maintenance and the
+     * queued controller are off. Segments the run by virtual page (one
+     * translate() per segment, which allocates a first-touched frame
+     * exactly where the per-line loop's first miss would), then by
+     * physical interleave chunk and pool, and executes every LLC
+     * outcome (device single, coalesced 1LM device run, dirty-victim
+     * writeback, LLC hit) against the channels at once, accumulating
+     * latency in the per-line loop's order. Dirty victims are LLC
+     * (virtual) addresses and are translated before routing.
      */
     void fastRange(unsigned thread, CpuOp op, Addr first,
                    std::uint64_t lines);
@@ -470,7 +510,7 @@ class MemorySystem
         std::vector<std::uint32_t> frames;  //!< shuffled lazily
         std::size_t next = 0;               //!< frames consumed
     };
-    Bytes pageSize_ = 0;
+    Bytes pageSize_ = 0;  //!< scaled page; 0 without scatterPages
     std::vector<std::uint32_t> pageMap_;  //!< ~0u = unmapped
     PagePool dramFrames_;
     PagePool nvramFrames_;

@@ -1,12 +1,14 @@
 /**
  * @file
  * Equivalence tests for the batched access engine: for every mode, op,
- * pattern and granularity, MemorySystem::submit must leave the
- * machine in a state bit-identical to the reference per-line loop —
- * every uncore counter, LLC statistic, device buffer effect (via write
- * amplification) and the accumulated simulated time (an exact
- * floating-point comparison, since the batched path is required to add
- * per-line latencies in the reference order).
+ * pattern and granularity, identity or demand-paged (scatterPages)
+ * address space, MemorySystem::submit must leave the machine in a
+ * state bit-identical to the reference per-line loop — every uncore
+ * counter, LLC statistic, device buffer effect (via write
+ * amplification), the page frames assigned on first touch, and the
+ * accumulated simulated time (an exact floating-point comparison,
+ * since the batched path is required to add per-line latencies in the
+ * reference order).
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "dnn/autotm.hh"
+#include "dnn/executor.hh"
+#include "dnn/networks.hh"
 #include "kernels/kernels.hh"
 
 using namespace nvsim;
@@ -30,6 +35,35 @@ config(MemoryMode mode)
     cfg.scale = 4096;
     cfg.epochBytes = 128 * kKiB;
     return cfg;
+}
+
+/**
+ * config() with first-touch scattered pages of @p page scaled bytes
+ * (0: the default page, one 4 KiB interleave granule at this scale).
+ */
+SystemConfig
+scatteredConfig(MemoryMode mode, Bytes page = 0)
+{
+    SystemConfig cfg = config(mode);
+    cfg.scatterPages = true;
+    if (page)
+        cfg.pageBytes = page * cfg.scale;
+    return cfg;
+}
+
+/**
+ * translate() of every page overlapping @p r, in address order. Pages
+ * the run never touched get frames allocated here, in the same order
+ * on both systems, so equal maps also pin the frame allocator's state.
+ */
+std::vector<Addr>
+pageFrames(MemorySystem &sys, const Region &r)
+{
+    std::vector<Addr> frames;
+    const Bytes page = sys.config().scaledPageBytes();
+    for (Addr a = r.base / page * page; a < r.base + r.size; a += page)
+        frames.push_back(sys.translate(a));
+    return frames;
 }
 
 /** Assert two systems are observably identical, field by field. */
@@ -82,7 +116,7 @@ const KernelCase kKernelCases[] = {
 };
 
 void
-runGrid(MemoryMode mode)
+runGrid(const SystemConfig &cfg)
 {
     for (const KernelCase &kc : kKernelCases) {
         for (AccessPattern pattern :
@@ -99,16 +133,19 @@ runGrid(MemoryMode mode)
                              accessPatternName(pattern) + " gran " +
                              std::to_string(gran));
 
-                MemorySystem batched(config(mode));
-                MemorySystem per_line(config(mode));
+                MemorySystem batched(cfg);
+                MemorySystem per_line(cfg);
                 ASSERT_TRUE(batched.batchedAccess());
                 per_line.setBatchedAccess(false);
+                std::vector<Addr> frames[2];
                 for (MemorySystem *sys : {&batched, &per_line}) {
                     Region r = sys->allocateIn(MemPool::Nvram, 4 * kMiB,
                                                "arr");
                     runKernel(*sys, r, k);
+                    frames[sys == &per_line] = pageFrames(*sys, r);
                 }
                 expectIdentical(batched, per_line);
+                EXPECT_EQ(frames[0], frames[1]);
             }
         }
     }
@@ -118,12 +155,22 @@ runGrid(MemoryMode mode)
 
 TEST(AccessRangeEquivalence, OneLmKernelGrid)
 {
-    runGrid(MemoryMode::OneLm);
+    runGrid(config(MemoryMode::OneLm));
 }
 
 TEST(AccessRangeEquivalence, TwoLmKernelGrid)
 {
-    runGrid(MemoryMode::TwoLm);
+    runGrid(config(MemoryMode::TwoLm));
+}
+
+TEST(AccessRangeEquivalence, OneLmScatteredKernelGrid)
+{
+    runGrid(scatteredConfig(MemoryMode::OneLm));
+}
+
+TEST(AccessRangeEquivalence, TwoLmScatteredKernelGrid)
+{
+    runGrid(scatteredConfig(MemoryMode::TwoLm));
 }
 
 TEST(AccessRangeEquivalence, OneLmDramPool)
@@ -206,6 +253,41 @@ TEST(AccessRangeEquivalence, EngineToggleMidRun)
     expectIdentical(batched, toggled);
 }
 
+namespace
+{
+
+/**
+ * Run a kernel on @p cfg with channel 2 offlined mid-run, then more
+ * traffic over the shrunken interleave, on both engines.
+ */
+void
+runWithOfflinedChannel(const SystemConfig &cfg)
+{
+    MemorySystem batched(cfg);
+    MemorySystem per_line(cfg);
+    per_line.setBatchedAccess(false);
+    KernelConfig k;
+    k.op = KernelOp::ReadModifyWrite;
+    k.threads = 3;
+    std::vector<Addr> frames[2];
+    for (MemorySystem *sys : {&batched, &per_line}) {
+        Region r = sys->allocateIn(MemPool::Nvram, 6 * kMiB, "arr");
+        runKernel(*sys, r, k);
+        // Offline a channel mid-run: the map is rebuilt with one
+        // channel fewer but chunk positions keyed off the original
+        // granule, then traffic resumes on both engines.
+        sys->offlineChannel(2);
+        sys->submit({0, CpuOp::Load, r.base + 777, 2 * kMiB});
+        sys->submit({1, CpuOp::NtStore, r.base + 64, 1 * kMiB});
+        sys->quiesce();
+        frames[sys == &per_line] = pageFrames(*sys, r);
+    }
+    expectIdentical(batched, per_line);
+    EXPECT_EQ(frames[0], frames[1]);
+}
+
+} // namespace
+
 TEST(AccessRangeEquivalence, NonPowerOfTwoChannelGrid)
 {
     // The cached interleave mapping has a fast shift/mask path for
@@ -217,24 +299,20 @@ TEST(AccessRangeEquivalence, NonPowerOfTwoChannelGrid)
         SCOPED_TRACE(memoryModeName(mode));
         SystemConfig cfg = config(mode);
         cfg.channelsPerSocket = 5;
-        MemorySystem batched(cfg);
-        MemorySystem per_line(cfg);
-        per_line.setBatchedAccess(false);
-        KernelConfig k;
-        k.op = KernelOp::ReadModifyWrite;
-        k.threads = 3;
-        for (MemorySystem *sys : {&batched, &per_line}) {
-            Region r = sys->allocateIn(MemPool::Nvram, 6 * kMiB, "arr");
-            runKernel(*sys, r, k);
-            // Offline a channel mid-run: the map is rebuilt with 4
-            // online channels but chunk positions keyed off the
-            // original granule, then traffic resumes on both engines.
-            sys->offlineChannel(2);
-            sys->submit({0, CpuOp::Load, r.base + 777, 2 * kMiB});
-            sys->submit({1, CpuOp::NtStore, r.base + 64, 1 * kMiB});
-            sys->quiesce();
-        }
-        expectIdentical(batched, per_line);
+        runWithOfflinedChannel(cfg);
+    }
+}
+
+TEST(AccessRangeEquivalence, ScatteredOfflinedChannel)
+{
+    // Demand paging over a 5-channel socket whose channel 2 goes
+    // offline: batched before the offlining, per-line after it (an
+    // offlined channel is a fault), on the same page map.
+    for (MemoryMode mode : {MemoryMode::OneLm, MemoryMode::TwoLm}) {
+        SCOPED_TRACE(memoryModeName(mode));
+        SystemConfig cfg = scatteredConfig(mode);
+        cfg.channelsPerSocket = 5;
+        runWithOfflinedChannel(cfg);
     }
 }
 
@@ -256,10 +334,11 @@ struct RunDigest
     std::vector<FaultLog::Event> events;
     std::vector<std::string> traceNames;
     std::vector<Sample> traceSamples;
+    std::vector<Addr> frames;  //!< pageFrames() of every region
 };
 
 RunDigest
-digest(MemorySystem &sys)
+digest(MemorySystem &sys, const std::vector<Region> &regions)
 {
     RunDigest d;
     d.counters = sys.counters().asArray();
@@ -277,6 +356,10 @@ digest(MemorySystem &sys)
         const auto &ring = sys.trace().channel(name);
         for (std::size_t i = 0; i < ring.size(); ++i)
             d.traceSamples.push_back(ring[i]);
+    }
+    for (const Region &r : regions) {
+        for (Addr f : pageFrames(sys, r))
+            d.frames.push_back(f);
     }
     return d;
 }
@@ -306,16 +389,19 @@ expectIdentical(const RunDigest &a, const RunDigest &b)
         EXPECT_EQ(a.traceSamples[i].time, b.traceSamples[i].time);
         EXPECT_EQ(a.traceSamples[i].value, b.traceSamples[i].value);
     }
+    EXPECT_EQ(a.frames, b.frames);
 }
 
 /**
  * Mixed demand kinds, LLC re-touches among misses, NT stores and a DMA
  * copy, over epochs small enough that every call crosses boundaries.
+ * In 1LM a NUMA-spill region then takes loads and NT stores across
+ * the DRAM/NVRAM pool boundary. @p cfg picks the mode and the page
+ * map.
  */
 RunDigest
-driveMixed(MemoryMode mode, bool per_line)
+driveMixed(SystemConfig cfg, bool per_line)
 {
-    SystemConfig cfg = config(mode);
     cfg.epochBytes = 64 * kKiB;
     MemorySystem sys(cfg);
     if (per_line)
@@ -331,22 +417,220 @@ driveMixed(MemoryMode mode, bool per_line)
     sys.submit({2, CpuOp::NtStore, a.base + 128 * kKiB, 128 * kKiB});
     sys.dmaCopy(b.base, a.base, 32 * kKiB);
     sys.submit({3, CpuOp::Load, b.base, b.size});
+    std::vector<Region> regions{a, b};
+    if (cfg.mode == MemoryMode::OneLm) {
+        Region spill = sys.allocate(
+            sys.poolFree(MemPool::Dram) + 192 * kKiB, "spill");
+        const Addr end = spill.base + spill.size;
+        sys.submit({1, CpuOp::Load, end - 384 * kKiB + 8, 320 * kKiB});
+        sys.submit({2, CpuOp::NtStore, end - 256 * kKiB, 256 * kKiB});
+        sys.submit({3, CpuOp::Store, end - 300 * kKiB, 200 * kKiB});
+        regions.push_back({"tail", end - 384 * kKiB, 384 * kKiB});
+    }
     sys.quiesce();
-    return digest(sys);
+    return digest(sys, regions);
 }
 
 } // namespace
 
 TEST(AccessRangeEquivalence, TwoLmMixedDriveMatchesPerLine)
 {
-    RunDigest batched = driveMixed(MemoryMode::TwoLm, false);
+    RunDigest batched = driveMixed(config(MemoryMode::TwoLm), false);
     EXPECT_FALSE(batched.traceSamples.empty());
-    expectIdentical(batched, driveMixed(MemoryMode::TwoLm, true));
+    expectIdentical(batched,
+                    driveMixed(config(MemoryMode::TwoLm), true));
 }
 
 TEST(AccessRangeEquivalence, OneLmMixedDriveMatchesPerLine)
 {
-    RunDigest batched = driveMixed(MemoryMode::OneLm, false);
+    RunDigest batched = driveMixed(config(MemoryMode::OneLm), false);
     EXPECT_FALSE(batched.traceSamples.empty());
-    expectIdentical(batched, driveMixed(MemoryMode::OneLm, true));
+    expectIdentical(batched,
+                    driveMixed(config(MemoryMode::OneLm), true));
+}
+
+TEST(AccessRangeEquivalence, ScatteredMixedDriveMatchesPerLine)
+{
+    // The default page (one interleave granule) and a 5 KiB page,
+    // which is not a multiple of the granule and leaves one frame
+    // straddling the physical DRAM/NVRAM pool boundary.
+    for (MemoryMode mode : {MemoryMode::OneLm, MemoryMode::TwoLm}) {
+        for (Bytes page : {Bytes{0}, Bytes{5 * kKiB}}) {
+            SCOPED_TRACE(std::string(memoryModeName(mode)) + " page " +
+                         std::to_string(page));
+            const SystemConfig cfg = scatteredConfig(mode, page);
+            RunDigest batched = driveMixed(cfg, false);
+            EXPECT_FALSE(batched.traceSamples.empty());
+            expectIdentical(batched, driveMixed(cfg, true));
+        }
+    }
+}
+
+TEST(AccessRangeEquivalence, ScatteredFrameStraddlingPoolBoundary)
+{
+    // 5 KiB pages and interleave granules over a 192 KiB DRAM pool:
+    // the first NVRAM frame starts 2 KiB below the pool boundary, in
+    // one granule, so the lines of whichever page gets it are served
+    // partly by DRAM, as the per-line loop routes them. Touching
+    // nearly every NVRAM page guarantees that frame is handed out (the
+    // last 16 KiB stay free so the pool's frames are not exhausted).
+    SystemConfig cfg = config(MemoryMode::OneLm);
+    cfg.scale = 1u << 20;
+    cfg.scatterPages = true;
+    cfg.interleaveGranularity = 5 * kKiB;
+    cfg.pageBytes = 5 * kKiB * cfg.scale;
+    MemorySystem batched(cfg);
+    MemorySystem per_line(cfg);
+    per_line.setBatchedAccess(false);
+    std::vector<Addr> frames[2];
+    for (MemorySystem *sys : {&batched, &per_line}) {
+        ASSERT_NE(sys->poolFree(MemPool::Dram) % (5 * kKiB), 0u);
+        Region r = sys->allocateIn(
+            MemPool::Nvram, sys->poolFree(MemPool::Nvram) - 16 * kKiB,
+            "nvram");
+        sys->submit({0, CpuOp::Load, r.base, r.size});
+        sys->submit({1, CpuOp::NtStore, r.base, r.size});
+        sys->submit({2, CpuOp::Store, r.base + 100, r.size / 2});
+        sys->quiesce();
+        frames[sys == &per_line] = pageFrames(*sys, r);
+    }
+    expectIdentical(batched, per_line);
+    EXPECT_EQ(frames[0], frames[1]);
+    EXPECT_GT(batched.counters().dramRead, 0u);
+}
+
+namespace
+{
+
+/**
+ * Graph-kernel shaped traffic: 4 B and 16 B Load, Store and NtStore
+ * submits at random lines of a region larger than the LLC, including
+ * 16 B accesses at line offset 56 that straddle two lines, plus
+ * touchLine() calls, over epochs small enough to cross often.
+ */
+RunDigest
+driveElements(SystemConfig cfg, bool per_line)
+{
+    cfg.epochBytes = 16 * kKiB;
+    MemorySystem sys(cfg);
+    if (per_line)
+        sys.setBatchedAccess(false);
+    Region r = sys.allocate(1 * kMiB, "elems");
+    sys.setActiveThreads(4);
+    const std::uint64_t lines = r.size / kLineSize - 1;
+    std::uint64_t x = 12345;
+    for (unsigned i = 0; i < 20000; ++i) {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        const unsigned t = i % 4;
+        const Addr line = r.base + ((x >> 24) % lines) * kLineSize;
+        const Addr word = line + ((x >> 16) % 16) * 4;
+        switch ((x >> 8) % 9) {
+          case 0: sys.submit({t, CpuOp::Load, word, 4}); break;
+          case 1: sys.submit({t, CpuOp::Store, word, 4}); break;
+          case 2: sys.submit({t, CpuOp::NtStore, word, 4}); break;
+          case 3: sys.submit({t, CpuOp::Load, line + 48, 16}); break;
+          case 4: sys.submit({t, CpuOp::Load, line + 56, 16}); break;
+          case 5: sys.submit({t, CpuOp::Store, line + 56, 16}); break;
+          case 6: sys.submit({t, CpuOp::NtStore, line + 56, 16}); break;
+          case 7: sys.touchLine(t, CpuOp::Load, line); break;
+          default: sys.touchLine(t, CpuOp::Store, line); break;
+        }
+    }
+    sys.quiesce();
+    return digest(sys, {r});
+}
+
+} // namespace
+
+TEST(AccessRangeEquivalence, OneLineSubmitsMatchPerLine)
+{
+    for (MemoryMode mode : {MemoryMode::OneLm, MemoryMode::TwoLm}) {
+        for (bool scatter : {false, true}) {
+            SCOPED_TRACE(std::string(memoryModeName(mode)) +
+                         (scatter ? " scattered" : " identity"));
+            const SystemConfig cfg =
+                scatter ? scatteredConfig(mode) : config(mode);
+            RunDigest batched = driveElements(cfg, false);
+            EXPECT_FALSE(batched.traceSamples.empty());
+            EXPECT_GT(batched.llcHits, 0u);
+            EXPECT_GT(batched.llcMisses, 0u);
+            expectIdentical(batched, driveElements(cfg, true));
+        }
+    }
+}
+
+namespace
+{
+
+SystemConfig
+dnnConfig(MemoryMode mode, std::uint64_t scale)
+{
+    SystemConfig cfg;
+    cfg.mode = mode;
+    cfg.scale = scale;
+    cfg.epochBytes = 16 * kKiB;
+    cfg.scatterPages = true;  // OS demand paging, as the DNN benches
+    return cfg;
+}
+
+dnn::ExecutorConfig
+dnnExecConfig()
+{
+    dnn::ExecutorConfig e;
+    e.threads = 8;
+    e.chunkBytes = 16 * kKiB;
+    return e;
+}
+
+/** One 2LM training iteration whose footprint exceeds the cache. */
+RunDigest
+driveExecutor(bool per_line)
+{
+    MemorySystem sys(dnnConfig(MemoryMode::TwoLm, 1u << 20));
+    if (per_line)
+        sys.setBatchedAccess(false);
+    dnn::ComputeGraph g = dnn::buildDenseNet264(1536);
+    dnn::Executor ex(sys, g, dnnExecConfig());
+    ex.runIteration();
+    return digest(sys, {ex.arena(), ex.weights()});
+}
+
+/** One AutoTM iteration in 1LM whose tight budget forces CPU moves. */
+RunDigest
+driveAutoTm(bool per_line)
+{
+    MemorySystem sys(dnnConfig(MemoryMode::OneLm, 1u << 20));
+    if (per_line)
+        sys.setBatchedAccess(false);
+    dnn::ComputeGraph g = dnn::buildDenseNet264(1536);
+    dnn::AutoTmConfig cfg;
+    cfg.exec = dnnExecConfig();
+    dnn::AutoTmExecutor ex(sys, g, cfg);
+    ex.runIteration();
+    EXPECT_GT(ex.stats().movesToNvram, 0u);
+    EXPECT_GT(ex.stats().movesToDram, 0u);
+    // Both pools as allocated: AutoTM's DRAM budget and NVRAM slots.
+    const SystemConfig &c = sys.config();
+    const Region dram{"dram", 0, c.dramTotal() - sys.poolFree(MemPool::Dram)};
+    const Region nvram{"nvram", c.dramTotal(),
+                       c.nvramTotal() - sys.poolFree(MemPool::Nvram)};
+    return digest(sys, {dram, nvram});
+}
+
+} // namespace
+
+TEST(AccessRangeEquivalence, ExecutorIterationMatchesPerLine)
+{
+    RunDigest batched = driveExecutor(false);
+    EXPECT_FALSE(batched.traceSamples.empty());
+    EXPECT_GT(batched.llcMisses, 1000u) << batched.llcMisses;
+    expectIdentical(batched, driveExecutor(true));
+}
+
+TEST(AccessRangeEquivalence, AutoTmIterationMatchesPerLine)
+{
+    RunDigest batched = driveAutoTm(false);
+    EXPECT_FALSE(batched.traceSamples.empty());
+    EXPECT_GT(batched.llcMisses, 1000u) << batched.llcMisses;
+    expectIdentical(batched, driveAutoTm(true));
 }

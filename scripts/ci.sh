@@ -152,7 +152,9 @@ echo "golden byte-diff passed: default-policy outputs match the seed."
 # Demand-paged goldens: the DNN, DLRM and batch-scaling benches run
 # with OS demand paging (scatterPages), which the batched engine
 # serves. Their CSVs must match tests/golden/ byte for byte on the
-# batched engine and on the per-line reference alike.
+# batched engine and on the per-line reference alike. The
+# associativity ablation (multi-way LRU stamps) and the DMA mover
+# (invalidateLine calls that end an LLC run) ride along.
 echo "=== demand-paged golden byte-diff (--jobs=4 and --per-line) ==="
 dp_dir=$(mktemp -d)
 for variant in "jobs4 --jobs=4" "perline --jobs=4 --per-line"; do
@@ -161,14 +163,16 @@ for variant in "jobs4 --jobs=4" "perline --jobs=4 --per-line"; do
     mkdir -p "$dp_dir/$name"
     for bench in fig5_densenet_trace fig6_kernel_snapshot \
                  fig10_autotm_trace table2_cnn_comparison \
-                 ext_batch_scaling ext_dlrm; do
+                 ext_batch_scaling ext_dlrm ablation_associativity \
+                 ext_dma_mover; do
         # shellcheck disable=SC2086  # flags is a word list by design
         (cd "$dp_dir/$name" && \
             "$root/build/bench/bench_$bench" $flags > /dev/null)
     done
     for csv in fig5_arena_map fig5_traces fig6_kernel_snapshot \
                fig10_autotm_trace table2_cnn_comparison \
-               ext_batch_scaling ext_dlrm; do
+               ext_batch_scaling ext_dlrm ablation_associativity \
+               ext_dma_mover; do
         diff "$root/tests/golden/$csv.csv" "$dp_dir/$name/$csv.csv"
     done
 done

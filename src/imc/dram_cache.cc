@@ -24,8 +24,8 @@ DirectMappedTagEccPolicy::DirectMappedTagEccPolicy(
     }
     const std::size_t entries = numSets_ * ways_;
     wayTag_.assign(entries, kInvalidTag);
-    wayLru_.assign(entries, 0);
-    wayRetired_.assign(entries, 0);
+    if (ways_ > 1)
+        wayLru_.assign(entries, 0);
     if ((numSets_ & (numSets_ - 1)) == 0) {
         setMask_ = numSets_ - 1;
         setShift_ = 0;
@@ -67,6 +67,28 @@ DirectMappedTagEccPolicy::find(std::uint64_t set, std::uint64_t tag) const
             return base + w;
     }
     return kNoWay;
+}
+
+void
+DirectMappedTagEccPolicy::renumberLru()
+{
+    std::vector<std::uint32_t> rank(ways_);
+    for (WayIdx base = 0; base < wayTag_.size(); base += ways_) {
+        std::uint32_t *lru = &wayLru_[base];
+        for (unsigned w = 0; w < ways_; ++w) {
+            // An empty way is the victim whatever its stamp; keep 0.
+            rank[w] = 0;
+            if (!wayValid(base + w))
+                continue;
+            rank[w] = 1;
+            for (unsigned v = 0; v < ways_; ++v) {
+                if (wayValid(base + v) && lru[v] < lru[w])
+                    ++rank[w];
+            }
+        }
+        std::copy(rank.begin(), rank.end(), lru);
+    }
+    lruClock_ = ways_;
 }
 
 DirectMappedTagEccPolicy::WayIdx
@@ -266,6 +288,8 @@ DirectMappedTagEccPolicy::retireFrame(Addr frame)
     // set the frame backs).
     WayIdx idx = lineIndex(frame) % (numSets_ * ways_);
     TagCorruption tc;
+    if (wayRetired_.empty())
+        wayRetired_.assign(numSets_ * ways_, 0);
     if (wayRetired_[idx])
         return tc;
     if (wayValid(idx)) {
@@ -301,6 +325,7 @@ void
 DirectMappedTagEccPolicy::invalidateAll()
 {
     std::fill(wayTag_.begin(), wayTag_.end(), kInvalidTag);
+    // Both fills are no-ops on the arrays that were never allocated.
     std::fill(wayLru_.begin(), wayLru_.end(), 0);
     std::fill(wayRetired_.begin(), wayRetired_.end(), 0);
     // A reboot remaps retired rows onto spares: retirement clears too.

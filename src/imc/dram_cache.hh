@@ -209,22 +209,36 @@ class DirectMappedTagEccPolicy : public CachePolicy
     /**
      * Stamp @p w most-recently-used. A direct-mapped cache has no
      * replacement choice, so the stamp (and its extra cache-line
-     * store on every hit) is skipped entirely for ways == 1.
+     * store on every hit) is skipped entirely for ways == 1. The
+     * 32-bit clock never wraps: before it would, renumberLru()
+     * compresses the live stamps.
      */
     void
     touchLru(WayIdx w)
     {
-        if (ways_ > 1)
+        if (ways_ > 1) {
+            if (lruClock_ == ~std::uint32_t{0})
+                renumberLru();
             wayLru_[w] = ++lruClock_;
+        }
     }
+
+    /**
+     * Rank-compress each set's valid stamps to 1..ways, keeping their
+     * order, and restart the clock at ways_, above every rank. Victim
+     * choice only compares stamps within a set, so it is unchanged.
+     */
+    void renumberLru();
 
     /** Reset one way's state to empty (all fields, retirement included). */
     void
     clearWay(WayIdx w)
     {
         wayTag_[w] = kInvalidTag;
-        wayLru_[w] = 0;
-        wayRetired_[w] = 0;
+        if (ways_ > 1)
+            wayLru_[w] = 0;
+        if (!wayRetired_.empty())
+            wayRetired_[w] = 0;
     }
 
     /**
@@ -260,7 +274,9 @@ class DirectMappedTagEccPolicy : public CachePolicy
     int setShift_ = -1;          //!< log2(numSets_) when a power of two
     std::uint64_t setMask_ = 0;  //!< numSets_ - 1 when a power of two
     // Structure-of-arrays line state, numSets_ * ways_ entries each;
-    // see WayIdx for the layout rationale.
+    // see WayIdx for the layout rationale. A direct-mapped cache never
+    // reads a stamp, so wayLru_ stays empty for ways == 1; wayRetired_
+    // stays empty until the first retireFrame().
     std::vector<std::uint64_t> wayTag_;
     std::vector<std::uint32_t> wayLru_;
     std::vector<std::uint8_t> wayRetired_;

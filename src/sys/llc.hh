@@ -36,7 +36,29 @@ struct LlcResult
     Addr victim = 0;              //!< line address of the dirty victim
 };
 
-/** Set-associative writeback LLC. */
+/**
+ * Set-associative writeback LLC.
+ *
+ * Streaming misses are O(1). Take C = numSets * ways and call a *run*
+ * a sequence of accesses to consecutive line indices with no other
+ * LLC state change in between. C consecutive lines put exactly `ways`
+ * lines in each set, all distinct, and LRU keeps a set's `ways` most
+ * recently used distinct lines; so once a run is C lines long every
+ * set holds exactly its last `ways` lines from the run. Line i of the
+ * run then maps to the set of line i - C with a tag `ways` higher: it
+ * must miss, and its victim is the set's oldest line, i - C, which
+ * holds the lowest stamp. The LLC keeps a ring of the C flat way
+ * indices the run's lines went into; line i takes over the slot of
+ * line i - C, so the ring never changes once full. A miss in a full
+ * run therefore costs no address split, no probe and no victim scan,
+ * and its stamp, dirty bit, statistics and victim address are exactly
+ * those the general path would produce. Repeating the run's last line
+ * (a read-modify-write, or several words of one line) hits the way
+ * the ring names last; the line is already its set's most recent, so
+ * the repeat changes no set's LRU order and the run goes on. Any other
+ * access starts a new run; invalidateLine (when it drops a line),
+ * invalidateAll and flush end the current one.
+ */
 class Llc
 {
   public:
@@ -76,6 +98,7 @@ class Llc
                 way = Way{};
             }
         }
+        runNext_ = kNoRun;
     }
 
     std::uint64_t numSets() const { return numSets_; }
@@ -119,6 +142,9 @@ class Llc
         bool dirty() const { return (word & kDirtyBit) != 0; }
     };
 
+    /** runNext_ when no run is open: no line index reaches it. */
+    static constexpr std::uint64_t kNoRun = ~std::uint64_t{0};
+
     /** Index of the way of @p set holding @p tag, or ways_ if none. */
     unsigned
     findWay(std::uint64_t set, std::uint64_t tag) const
@@ -131,17 +157,26 @@ class Llc
     }
 
     /**
-     * One division decomposes the line index into (set, tag): the
-     * compiler derives the remainder from the quotient, where separate
-     * modulo and divide expressions would each pay a 64-bit divide on
-     * this hottest of paths.
+     * Decompose a line index into (set, tag): shift and mask for a
+     * power-of-two set count, else one division (the compiler derives
+     * the remainder from the quotient).
      */
+    void
+    splitIndex(std::uint64_t idx, std::uint64_t &set,
+               std::uint64_t &tag) const
+    {
+        if (setShift_ >= 0) {
+            set = idx & setMask_;
+            tag = idx >> setShift_;
+        } else {
+            tag = idx / numSets_;
+            set = idx - tag * numSets_;
+        }
+    }
     void
     splitAddr(Addr addr, std::uint64_t &set, std::uint64_t &tag) const
     {
-        std::uint64_t idx = lineIndex(addr);
-        tag = idx / numSets_;
-        set = idx - tag * numSets_;
+        splitIndex(lineIndex(addr), set, tag);
     }
     Addr
     addrOf(std::uint64_t set, std::uint64_t tag) const
@@ -149,10 +184,25 @@ class Llc
         return (tag * numSets_ + set) * kLineSize;
     }
 
+    /** A miss inside a full run (see the class comment). */
+    LlcResult streamMiss(std::uint64_t idx, bool is_store);
+    /** A repeat of the run's last line: a hit (see the class comment). */
+    LlcResult repeatHit(bool is_store);
+
     unsigned ways_;
     std::uint64_t numSets_;
+    int setShift_ = -1;          //!< log2(numSets_) when a power of two
+    std::uint64_t setMask_ = 0;  //!< numSets_ - 1 when a power of two
     std::vector<Way> ways_store_;
     std::uint64_t lruClock_ = 0;
+
+    /** @name The current run of consecutive lines */
+    ///@{
+    std::vector<std::uint32_t> runWays_;  //!< C flat way indices, a ring
+    std::uint64_t runNext_ = kNoRun;  //!< line index that extends the run
+    std::uint64_t runLen_ = 0;        //!< run length, saturating at C
+    std::uint64_t runPos_ = 0;        //!< next ring slot
+    ///@}
 
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

@@ -77,16 +77,18 @@ MemorySystem::MemorySystem(const SystemConfig &config)
         pageSize_ = config_.scaledPageBytes();
         Bytes total = dramPoolSize_ + nvramPoolSize_;
         pageMap_.assign(total / pageSize_ + 1, ~0u);
-        auto fill = [&](PagePool &pool, Addr base, Bytes size) {
-            std::size_t n = size / pageSize_;
-            pool.frames.resize(n);
-            std::uint32_t first =
-                static_cast<std::uint32_t>(base / pageSize_);
-            for (std::size_t i = 0; i < n; ++i)
-                pool.frames[i] = first + static_cast<std::uint32_t>(i);
+        // A pool owns only the frames that lie wholly inside it: when
+        // the DRAM pool is not a whole number of pages, the frame that
+        // straddles the boundary belongs to neither.
+        auto fill = [&](PagePool &pool, Addr base, Addr end) {
+            const std::size_t first = (base + pageSize_ - 1) / pageSize_;
+            const std::size_t last = end / pageSize_;
+            pool.frames.resize(last > first ? last - first : 0);
+            for (std::size_t i = 0; i < pool.frames.size(); ++i)
+                pool.frames[i] = static_cast<std::uint32_t>(first + i);
         };
         fill(dramFrames_, 0, dramPoolSize_);
-        fill(nvramFrames_, dramPoolSize_, nvramPoolSize_);
+        fill(nvramFrames_, dramPoolSize_, total);
         pageRng_ = config_.pageSeed ? config_.pageSeed : 1;
     }
 }

@@ -469,11 +469,11 @@ TEST(AccessRangeEquivalence, ScatteredMixedDriveMatchesPerLine)
 TEST(AccessRangeEquivalence, ScatteredFrameStraddlingPoolBoundary)
 {
     // 5 KiB pages and interleave granules over a 192 KiB DRAM pool:
-    // the first NVRAM frame starts 2 KiB below the pool boundary, in
-    // one granule, so the lines of whichever page gets it are served
-    // partly by DRAM, as the per-line loop routes them. Touching
-    // nearly every NVRAM page guarantees that frame is handed out (the
-    // last 16 KiB stay free so the pool's frames are not exhausted).
+    // the frame that straddles the pool boundary belongs to neither
+    // pool, so a region allocated only in NVRAM never reaches DRAM.
+    // Touching nearly every NVRAM page hands out every NVRAM frame
+    // that could straddle (the last 16 KiB stay free so the pool's
+    // frames are not exhausted).
     SystemConfig cfg = config(MemoryMode::OneLm);
     cfg.scale = 1u << 20;
     cfg.scatterPages = true;
@@ -496,7 +496,11 @@ TEST(AccessRangeEquivalence, ScatteredFrameStraddlingPoolBoundary)
     }
     expectIdentical(batched, per_line);
     EXPECT_EQ(frames[0], frames[1]);
-    EXPECT_GT(batched.counters().dramRead, 0u);
+    for (MemorySystem *sys : {&batched, &per_line}) {
+        EXPECT_EQ(sys->counters().dramRead, 0u);
+        EXPECT_EQ(sys->counters().dramWrite, 0u);
+    }
+    EXPECT_GT(batched.counters().nvramRead, 0u);
 }
 
 namespace

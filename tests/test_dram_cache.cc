@@ -254,3 +254,56 @@ TEST_P(DramCacheWays, MissAmplificationIndependentOfWays)
 
 INSTANTIATE_TEST_SUITE_P(Ways, DramCacheWays,
                          ::testing::Values(1u, 2u, 4u, 8u));
+
+// --- LRU clock wrap ------------------------------------------------------
+
+namespace
+{
+
+/** A DRAM cache whose 32-bit LRU clock starts @p headroom below its max. */
+class NearWrapCache : public DramCache
+{
+  public:
+    NearWrapCache(const DramCacheParams &p, std::uint32_t headroom)
+        : DramCache(p)
+    {
+        lruClock_ = ~std::uint32_t{0} - headroom;
+    }
+};
+
+} // namespace
+
+TEST(DramCacheAssoc, LruClockNearWrapPicksTheSameVictims)
+{
+    // 16 sets x 4 ways under random reads, writes and frame
+    // retirements over four capacities' worth of lines; the clock
+    // passes its maximum after 500 touches. Every result must match a
+    // cache whose clock starts at zero.
+    DramCacheParams p = tinyParams();
+    p.ways = 4;
+    DramCache plain(p);
+    NearWrapCache wrapping(p, 500);
+    const std::uint64_t lines = 4 * p.capacity / kLineSize;
+    std::uint64_t x = 7;
+    for (unsigned i = 0; i < 5000; ++i) {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        const Addr addr = ((x >> 20) % lines) * kLineSize;
+        if ((x >> 8) % 500 == 0) {
+            TagCorruption a = plain.retireFrame(addr);
+            TagCorruption b = wrapping.retireFrame(addr);
+            ASSERT_EQ(a.dropped, b.dropped) << "retirement " << i;
+            ASSERT_EQ(a.line, b.line) << "retirement " << i;
+            continue;
+        }
+        const bool is_write = (x >> 40) % 3 == 0;
+        CacheResult a = is_write ? plain.write(addr) : plain.read(addr);
+        CacheResult b =
+            is_write ? wrapping.write(addr) : wrapping.read(addr);
+        ASSERT_EQ(a.outcome, b.outcome) << "access " << i;
+        ASSERT_EQ(a.wroteBack, b.wroteBack) << "access " << i;
+        ASSERT_EQ(a.victim, b.victim) << "access " << i;
+        ASSERT_EQ(a.fill, b.fill) << "access " << i;
+        ASSERT_EQ(a.actions.total(), b.actions.total()) << "access " << i;
+    }
+    EXPECT_EQ(plain.retiredWays(), wrapping.retiredWays());
+}

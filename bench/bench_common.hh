@@ -232,7 +232,7 @@ benchUsage()
  * MemorySystem the bench builds uses the requested engine.
  */
 inline BenchOptions
-parseBenchArgs(int &argc, char **argv, bool keep_unknown)
+parseBenchOptions(int argc, char **argv)
 {
     BenchOptions opts;
     obs::RunManifest &man = opts.obs.telemetry.manifest;
@@ -240,11 +240,9 @@ parseBenchArgs(int &argc, char **argv, bool keep_unknown)
         const char *slash = std::strrchr(argv[0], '/');
         man.bench = slash ? slash + 1 : argv[0];
     }
-    int kept = 1;
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         std::string value;
-        bool known = true;
         if (detail::parseObsFlag(arg, opts.obs)) {
         } else if (detail::matchFlag(arg, "--config=",
                                      &opts.configPath)) {
@@ -256,13 +254,7 @@ parseBenchArgs(int &argc, char **argv, bool keep_unknown)
         } else if (std::strcmp(arg, "--per-line") == 0) {
             opts.perLine = true;
         } else {
-            known = false;
-        }
-        if (!known) {
-            if (!keep_unknown)
-                fatal("unknown argument '%s'\n%s", arg, benchUsage());
-            argv[kept++] = argv[i];
-            continue;
+            fatal("unknown argument '%s'\n%s", arg, benchUsage());
         }
         // Provenance: record the flags that can change results;
         // result-neutral ones (outputs, --jobs=) would break the
@@ -270,32 +262,9 @@ parseBenchArgs(int &argc, char **argv, bool keep_unknown)
         if (!detail::manifestNeutral(arg))
             man.flags.push_back(arg);
     }
-    if (keep_unknown) {
-        argc = kept;
-        argv[argc] = nullptr;
-    }
     man.causalSeed = opts.obs.causalSeed;
-    man.readEnvironment();
     MemorySystem::setBatchedAccessDefault(!opts.perLine);
     return opts;
-}
-
-inline BenchOptions
-parseBenchOptions(int argc, char **argv)
-{
-    return parseBenchArgs(argc, argv, false);
-}
-
-/**
- * parseBenchOptions for binaries that share argv with another flag
- * parser (the google-benchmark suite): consumes every nvsim flag,
- * compacts argv in place to the remaining arguments, and updates
- * @p argc — pass the compacted argv on to benchmark::Initialize().
- */
-inline BenchOptions
-parseBenchOptionsPartial(int &argc, char **argv)
-{
-    return parseBenchArgs(argc, argv, true);
 }
 
 /**

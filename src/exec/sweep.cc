@@ -1,6 +1,5 @@
 #include "exec/sweep.hh"
 
-#include "core/hostprof.hh"
 
 namespace nvsim::exec
 {
@@ -58,7 +57,6 @@ SweepRunner::runIndexed(std::size_t n,
 {
     if (n == 0)
         return;
-    HostPhase phase("sweep.batch");
     if (jobs_ <= 1 || n == 1) {
         // Serial mode: run inline, in index order, on this thread.
         for (std::size_t i = 0; i < n; ++i)

@@ -98,8 +98,6 @@ readManifest(const JsonValue &man, std::string *schema_out)
     }
     if (const JsonValue *v = man.find("causal_seed"))
         m.causalSeed = v->asUint();
-    if (const JsonValue *v = man.find("host_calibration"))
-        m.hostCalibration = v->asNumber();
     return m;
 }
 

@@ -1,6 +1,5 @@
 #include "obs/manifest.hh"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "core/logging.hh"
@@ -27,23 +26,6 @@ digestHex(std::uint64_t digest)
                      static_cast<unsigned long long>(digest));
 }
 
-void
-RunManifest::readEnvironment()
-{
-    const char *cal = std::getenv("NVSIM_HOST_CALIBRATION");
-    if (!cal || !*cal)
-        return;
-    char *end = nullptr;
-    double v = std::strtod(cal, &end);
-    if (end == cal || *end != '\0' || v < 0) {
-        warn("manifest: ignoring malformed NVSIM_HOST_CALIBRATION "
-             "'%s' (want seconds as a non-negative number)",
-             cal);
-        return;
-    }
-    hostCalibration = v;
-}
-
 std::string
 RunManifest::json(double window_s,
                   const std::string &telemetry_schema) const
@@ -55,9 +37,7 @@ RunManifest::json(double window_s,
     for (std::size_t i = 0; i < flags.size(); ++i)
         os << (i ? "," : "") << '"' << jsonEscape(flags[i]) << '"';
     os << "],\"causal_seed\":" << causalSeed
-       << ",\"window_s\":" << strprintf("%.9g", window_s)
-       << ",\"host_calibration\":"
-       << strprintf("%.9g", hostCalibration) << '}';
+       << ",\"window_s\":" << strprintf("%.9g", window_s) << '}';
     return os.str();
 }
 

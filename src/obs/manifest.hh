@@ -7,9 +7,8 @@
  * must say *what produced it* precisely enough that two artifacts are
  * comparable-or-rejectable by construction. A RunManifest captures the
  * session-level provenance (bench name, canonical flag set, seeds,
- * schema versions, window length, an optional host-calibration
- * yardstick), and each observed run additionally carries a
- * SystemConfig digest (an FNV-1a hash of SystemConfig::toJson(), so
+ * schema versions, window length), and each observed run additionally
+ * carries a SystemConfig digest (an FNV-1a hash of SystemConfig::toJson(), so
  * any knob change — scale, policy, maintenance plan — changes the
  * hash).
  *
@@ -21,12 +20,8 @@
  * artifacts incomparable; a config-hash mismatch is a first-class
  * diagnostic on the diff report, not a crash.
  *
- * Determinism: every field is a pure function of the invocation
- * except host_calibration, which is taken from the
- * NVSIM_HOST_CALIBRATION environment variable (0 when unset) so that
- * default artifacts stay byte-identical run to run and at any
- * --jobs=N. scripts/bench_report.py measures the yardstick once and
- * exports it to the benches it invokes.
+ * Determinism: every field is a pure function of the invocation, so
+ * artifacts stay byte-identical run to run and at any --jobs=N.
  */
 
 #ifndef NVSIM_OBS_MANIFEST_HH
@@ -54,17 +49,6 @@ struct RunManifest
     std::string bench;               //!< argv[0] basename
     std::vector<std::string> flags;  //!< verbatim argv[1..], in order
     std::uint64_t causalSeed = 1;    //!< --causal-seed= (sampling RNG)
-
-    /**
-     * Host-calibration yardstick: seconds a fixed CPU-bound workload
-     * takes on this host (see bench_report.py host_calibration).
-     * Read from NVSIM_HOST_CALIBRATION; 0 = not calibrated. Never
-     * measured in-process: wall clock would break byte-identity.
-     */
-    double hostCalibration = 0;
-
-    /** Populate hostCalibration from the environment. */
-    void readEnvironment();
 
     /**
      * The manifest as one JSON object, e.g.

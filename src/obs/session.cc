@@ -5,7 +5,6 @@
 
 #include <sstream>
 
-#include "core/hostprof.hh"
 #include "core/logging.hh"
 #include "obs/causal.hh"
 #include "obs/diff/anomaly.hh"
@@ -177,7 +176,6 @@ Session::writeFiles(bool from_destructor)
     if (written_ || !enabled())
         return;
     written_ = true;
-    HostPhase phase("obs.write");
 
     telSession_.writeFiles(from_destructor);
     if (!opts_.any())

@@ -6,7 +6,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "core/hostprof.hh"
 #include "core/logging.hh"
 #include "obs/diff/anomaly.hh"
 #include "obs/json.hh"
@@ -487,7 +486,6 @@ TelemetrySession::writeFiles(bool from_destructor)
     if (written_ || !enabled())
         return;
     written_ = true;
-    HostPhase phase("telemetry.write");
     finishAll();
 
     // Render every run, then sort by (label, content): the emitted

@@ -70,27 +70,28 @@ MemorySystem::MemorySystem(const SystemConfig &config)
         dramPoolSize_ = 0;  // DRAM is invisible: it is the cache
     }
     nvramPoolSize_ = config_.nvramTotal();
-    dramBrk_ = 0;
-    nvramBrk_ = dramPoolSize_;
 
     if (config_.scatterPages) {
+        // Each pool holds whole pages only, so every virtual page lies
+        // in one pool and each pool owns exactly its pages' frames.
         pageSize_ = config_.scaledPageBytes();
-        Bytes total = dramPoolSize_ + nvramPoolSize_;
-        pageMap_.assign(total / pageSize_ + 1, ~0u);
-        // A pool owns only the frames that lie wholly inside it: when
-        // the DRAM pool is not a whole number of pages, the frame that
-        // straddles the boundary belongs to neither.
-        auto fill = [&](PagePool &pool, Addr base, Addr end) {
-            const std::size_t first = (base + pageSize_ - 1) / pageSize_;
-            const std::size_t last = end / pageSize_;
-            pool.frames.resize(last > first ? last - first : 0);
+        dramPoolSize_ -= dramPoolSize_ % pageSize_;
+        nvramPoolSize_ -= nvramPoolSize_ % pageSize_;
+        const std::size_t dram_pages = dramPoolSize_ / pageSize_;
+        const std::size_t pages = dram_pages + nvramPoolSize_ / pageSize_;
+        pageMap_.assign(pages, ~0u);
+        auto fill = [](PagePool &pool, std::size_t first,
+                       std::size_t last) {
+            pool.frames.resize(last - first);
             for (std::size_t i = 0; i < pool.frames.size(); ++i)
                 pool.frames[i] = static_cast<std::uint32_t>(first + i);
         };
-        fill(dramFrames_, 0, dramPoolSize_);
-        fill(nvramFrames_, dramPoolSize_, total);
+        fill(dramFrames_, 0, dram_pages);
+        fill(nvramFrames_, dram_pages, pages);
         pageRng_ = config_.pageSeed ? config_.pageSeed : 1;
     }
+    dramBrk_ = 0;
+    nvramBrk_ = dramPoolSize_;
 }
 
 MemorySystem::~MemorySystem()

@@ -395,7 +395,8 @@ class MemorySystem
 
     // Address space layout: [0, dramPoolSize_) is the DRAM pool (1LM
     // only), [dramPoolSize_, dramPoolSize_ + nvramPoolSize_) is NVRAM.
-    // In 2LM the DRAM pool has size zero.
+    // In 2LM the DRAM pool has size zero. With scatterPages both
+    // sizes are rounded down to whole pages.
     Bytes dramPoolSize_ = 0;
     Bytes nvramPoolSize_ = 0;
     Addr dramBrk_ = 0;   //!< next free DRAM pool byte

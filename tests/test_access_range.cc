@@ -452,8 +452,8 @@ TEST(AccessRangeEquivalence, OneLmMixedDriveMatchesPerLine)
 TEST(AccessRangeEquivalence, ScatteredMixedDriveMatchesPerLine)
 {
     // The default page (one interleave granule) and a 5 KiB page,
-    // which is not a multiple of the granule and leaves one frame
-    // straddling the physical DRAM/NVRAM pool boundary.
+    // which is not a multiple of the granule, so frames straddle
+    // interleave chunks and the pools round down to whole pages.
     for (MemoryMode mode : {MemoryMode::OneLm, MemoryMode::TwoLm}) {
         for (Bytes page : {Bytes{0}, Bytes{5 * kKiB}}) {
             SCOPED_TRACE(std::string(memoryModeName(mode)) + " page " +
@@ -466,28 +466,44 @@ TEST(AccessRangeEquivalence, ScatteredMixedDriveMatchesPerLine)
     }
 }
 
-TEST(AccessRangeEquivalence, ScatteredFrameStraddlingPoolBoundary)
+namespace
 {
-    // 5 KiB pages and interleave granules over a 192 KiB DRAM pool:
-    // the frame that straddles the pool boundary belongs to neither
-    // pool, so a region allocated only in NVRAM never reaches DRAM.
-    // Touching nearly every NVRAM page hands out every NVRAM frame
-    // that could straddle (the last 16 KiB stay free so the pool's
-    // frames are not exhausted).
+
+/**
+ * 1LM at scale 2^20 with 5 KiB pages and interleave granules: the
+ * 192 KiB DRAM pool is 38.4 pages, so page-granular pools only work
+ * if the constructor rounds it down to 38 whole pages.
+ */
+SystemConfig
+fiveKiBPageConfig()
+{
     SystemConfig cfg = config(MemoryMode::OneLm);
     cfg.scale = 1u << 20;
     cfg.scatterPages = true;
     cfg.interleaveGranularity = 5 * kKiB;
     cfg.pageBytes = 5 * kKiB * cfg.scale;
+    return cfg;
+}
+
+} // namespace
+
+TEST(AccessRangeEquivalence, ScatteredFrameStraddlingPoolBoundary)
+{
+    // The DRAM pool rounds down to whole pages, so no frame straddles
+    // the pool boundary and a region allocated only in NVRAM never
+    // reaches DRAM. Touching nearly every NVRAM page hands out nearly
+    // every NVRAM frame (the last 16 KiB stay free).
+    SystemConfig cfg = fiveKiBPageConfig();
     MemorySystem batched(cfg);
     MemorySystem per_line(cfg);
     per_line.setBatchedAccess(false);
     std::vector<Addr> frames[2];
     for (MemorySystem *sys : {&batched, &per_line}) {
-        ASSERT_NE(sys->poolFree(MemPool::Dram) % (5 * kKiB), 0u);
+        ASSERT_EQ(sys->poolFree(MemPool::Dram), 38 * 5 * kKiB);
         Region r = sys->allocateIn(
             MemPool::Nvram, sys->poolFree(MemPool::Nvram) - 16 * kKiB,
             "nvram");
+        EXPECT_EQ(r.base % (5 * kKiB), 0u);
         sys->submit({0, CpuOp::Load, r.base, r.size});
         sys->submit({1, CpuOp::NtStore, r.base, r.size});
         sys->submit({2, CpuOp::Store, r.base + 100, r.size / 2});
@@ -501,6 +517,57 @@ TEST(AccessRangeEquivalence, ScatteredFrameStraddlingPoolBoundary)
         EXPECT_EQ(sys->counters().dramWrite, 0u);
     }
     EXPECT_GT(batched.counters().nvramRead, 0u);
+}
+
+TEST(AccessRangeEquivalence, ScatteredPoolBoundaryPageStaysInItsPool)
+{
+    // A virtual page that spanned the pool boundary got one frame from
+    // the pool of whichever side was touched first. With whole-page
+    // pools, touching the DRAM region's last line first leaves the
+    // NVRAM region served by NVRAM alone.
+    SystemConfig cfg = fiveKiBPageConfig();
+    MemorySystem batched(cfg);
+    MemorySystem per_line(cfg);
+    per_line.setBatchedAccess(false);
+    for (MemorySystem *sys : {&batched, &per_line}) {
+        Region dram = sys->allocateIn(
+            MemPool::Dram, sys->poolFree(MemPool::Dram), "dram");
+        Region nvram = sys->allocateIn(MemPool::Nvram, 64 * kKiB, "nvram");
+        sys->submit(
+            {0, CpuOp::Load, dram.base + dram.size - kLineSize, kLineSize});
+        sys->quiesce();
+        sys->resetCounters();
+        sys->submit({0, CpuOp::Load, nvram.base, nvram.size});
+        sys->quiesce();
+        EXPECT_EQ(sys->counters().dramRead, 0u);
+        EXPECT_EQ(sys->counters().nvramRead, 64 * kKiB / kLineSize);
+    }
+    expectIdentical(batched, per_line);
+}
+
+TEST(AccessRangeEquivalence, ScatteredWholeDramPoolHasEveryFrame)
+{
+    // Loading every line of the DRAM pool maps every one of its pages;
+    // a pool that owned fewer frames than it had pages ran dry here.
+    SystemConfig cfg = fiveKiBPageConfig();
+    MemorySystem batched(cfg);
+    MemorySystem per_line(cfg);
+    per_line.setBatchedAccess(false);
+    std::vector<Addr> frames[2];
+    for (MemorySystem *sys : {&batched, &per_line}) {
+        Region dram = sys->allocateIn(
+            MemPool::Dram, sys->poolFree(MemPool::Dram), "dram");
+        sys->submit({0, CpuOp::Load, dram.base, dram.size});
+        sys->quiesce();
+        EXPECT_EQ(sys->counters().dramRead, dram.size / kLineSize);
+        EXPECT_EQ(sys->counters().nvramRead, 0u);
+        frames[sys == &per_line] = pageFrames(*sys, dram);
+    }
+    expectIdentical(batched, per_line);
+    EXPECT_EQ(frames[0], frames[1]);
+    ASSERT_EQ(frames[0].size(), 38u);
+    for (Addr f : frames[0])
+        EXPECT_LT(f, 38 * 5 * kKiB);
 }
 
 namespace

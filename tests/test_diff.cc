@@ -460,3 +460,26 @@ TEST(DiffEndToEnd, ExportedArtifactSelfDiffsEmpty)
     AnomalyReport r2 = detectAnomalies(pointersTo(a.runs[0].windows), {});
     EXPECT_EQ(r1.json(), r2.json());
 }
+
+TEST(DiffEndToEnd, LoadsManifestsWithUnknownKeys)
+{
+    // Documents written before a manifest key was retired still carry
+    // it; the reader ignores keys it does not know and keeps the rest.
+    std::string dir = ::testing::TempDir();
+    std::string path = dir + "diff_tel_extra_key.json";
+    writeSession(path);
+    std::stringstream ss;
+    ss << std::ifstream(path).rdbuf();
+    std::string text = ss.str();
+    std::size_t man = text.find("\"manifest\":{");
+    ASSERT_NE(man, std::string::npos);
+    std::size_t at = text.find("\"window_s\":", man);
+    ASSERT_NE(at, std::string::npos);
+    text.insert(at, "\"retired_yardstick\":0.25,");
+    std::ofstream(path, std::ios::trunc) << text;
+
+    TelDoc doc = loadTelemetryDoc(path);
+    EXPECT_TRUE(doc.hasManifest);
+    EXPECT_EQ(doc.manifest.bench, "test_diff");
+    EXPECT_EQ(doc.runs.size(), 2u);
+}

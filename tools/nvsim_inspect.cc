@@ -7,7 +7,7 @@
  *   nvsim_inspect anomalies RUN.json [--z=Z] [--json[=PATH]]
  *   nvsim_inspect manifest  RUN.json
  *
- * Exit codes (scripted by bench_report.py and ci.sh):
+ * Exit codes (scripted by ci.sh):
  *   0  empty diff / no anomalies / manifest printed
  *   1  differences or anomalies found
  *   2  artifacts incomparable (schema or window geometry mismatch)
@@ -236,8 +236,6 @@ cmdManifest(const std::vector<std::string> &args)
                     flags.empty() ? "<none>" : flags.c_str());
         std::printf("  causal_seed: %llu\n",
                     static_cast<unsigned long long>(m.causalSeed));
-        std::printf("  host_calibration: %s\n",
-                    strprintf("%.9g", m.hostCalibration).c_str());
     }
     for (const TelRun &run : doc.runs) {
         std::printf("run '%s': %u channel(s), %zu window(s)",

@@ -124,21 +124,6 @@ for cause in tag_probe dirty_writeback cache_fill_read \
 done
 echo "causal smoke passed: blame trees cover all five causes."
 
-# Policy smoke: the ablation bench must sweep every registered cache
-# policy and emit the documented CSV schema.
-echo "=== policy smoke (pluggable cache-policy ablation) ==="
-pol_dir=$(mktemp -d)
-(cd "$pol_dir" && "$root/build/bench/bench_ablation_policy" \
-    --jobs="$jobs" > bench.log)
-head -1 "$pol_dir/ablation_policy.csv" | grep -q \
-    '^policy,scenario,ratio,miss_rate,effective_gbs,amplification,bypass_frac$'
-for kind in direct_mapped_tag_ecc sram_tag_set_assoc \
-            bypass_selective_insert; do
-    grep -q "^$kind," "$pol_dir/ablation_policy.csv"
-done
-rm -rf "$pol_dir"
-echo "policy smoke passed: every registered policy swept."
-
 # Golden byte-diff: under the default policy the refactored controller
 # must reproduce the seed's figure/table outputs byte-for-byte — the
 # policy interface is an extraction, not a behavior change — serially,
@@ -169,7 +154,9 @@ echo "golden byte-diff passed: default-policy outputs match the seed."
 # batched engine and on the per-line reference alike. The
 # associativity ablation (multi-way LRU stamps), the DMA mover
 # (invalidateLine calls that end an LLC run) and the DDO, write-policy
-# and cache-policy ablations ride along.
+# and cache-policy ablations ride along. The cache-policy CSV must
+# also keep its documented schema and sweep every registered policy,
+# so a missing policy is named, not only a diff.
 echo "=== demand-paged golden byte-diff (--jobs=4 and --per-line) ==="
 dp_dir=$(mktemp -d)
 for variant in "jobs4 --jobs=4" "perline --jobs=4 --per-line"; do
@@ -193,8 +180,15 @@ for variant in "jobs4 --jobs=4" "perline --jobs=4 --per-line"; do
         diff "$root/tests/golden/$csv.csv" "$dp_dir/$name/$csv.csv"
     done
 done
+head -1 "$dp_dir/jobs4/ablation_policy.csv" | grep -q \
+    '^policy,scenario,ratio,miss_rate,effective_gbs,amplification,bypass_frac$'
+for kind in direct_mapped_tag_ecc sram_tag_set_assoc \
+            bypass_selective_insert; do
+    grep -q "^$kind," "$dp_dir/jobs4/ablation_policy.csv"
+done
 rm -rf "$dp_dir"
-echo "demand-paged byte-diff passed: both engines match the goldens."
+echo "demand-paged byte-diff passed: both engines match the goldens," \
+    "every registered policy swept."
 
 # Maintenance-off equivalence: a config that spells the whole
 # maintenance block out explicitly, with every engine off, must
@@ -373,18 +367,23 @@ echo "queue-off byte-diff passed: analytic controller equals the seed."
 # the tail pulling away from the median as the offered load crosses
 # the channel service knee (the bench's own verdict line), report
 # nonzero queue activity, and reproduce its golden CSV and console
-# output byte for byte at any --jobs, so a deterministic change to
-# queued timing fails here as well as a nondeterministic one.
+# output byte for byte at any --jobs and on the per-line reference
+# engine, so a deterministic change to queued timing fails here as
+# well as a nondeterministic one or an engine disagreement.
 echo "=== queue smoke (bench_queue_load golden + saturation) ==="
 ql_dir=$(mktemp -d)
-for n in 1 4; do
-    mkdir -p "$ql_dir/jobs$n"
-    (cd "$ql_dir/jobs$n" && \
-        "$root/build/bench/bench_queue_load" --jobs=$n > stdout.txt)
+for variant in "jobs1 --jobs=1" "jobs4 --jobs=4" \
+               "perline --jobs=4 --per-line"; do
+    name=${variant%% *}
+    flags=${variant#* }
+    mkdir -p "$ql_dir/$name"
+    # shellcheck disable=SC2086  # flags is a word list by design
+    (cd "$ql_dir/$name" && \
+        "$root/build/bench/bench_queue_load" $flags > stdout.txt)
     diff "$root/tests/golden/queue_load.csv" \
-         "$ql_dir/jobs$n/queue_load.csv"
+         "$ql_dir/$name/queue_load.csv"
     diff "$root/tests/golden/queue_load_stdout.txt" \
-         "$ql_dir/jobs$n/stdout.txt"
+         "$ql_dir/$name/stdout.txt"
 done
 grep -q "tail stretches under load (as expected)" \
     "$ql_dir/jobs1/stdout.txt"

@@ -23,7 +23,7 @@ DirectMappedTagEccPolicy::DirectMappedTagEccPolicy(
               static_cast<unsigned long long>(numSets_ * ways_));
     }
     const std::size_t entries = numSets_ * ways_;
-    wayTag_.assign(entries, kInvalidTag);
+    wayTag_.assign(entries, kInvalidWord);
     if (ways_ > 1)
         wayLru_.assign(entries, 0);
     if ((numSets_ & (numSets_ - 1)) == 0) {
@@ -60,7 +60,11 @@ DirectMappedTagEccPolicy::WayIdx
 DirectMappedTagEccPolicy::find(std::uint64_t set, std::uint64_t tag) const
 {
     // The probe loop touches only the tag words (empty ways hold
-    // kInvalidTag) — the point of the structure-of-arrays layout.
+    // kInvalidWord) — the point of the structure-of-arrays layout. No
+    // tag above kMaxTag is ever inserted, and kInvalidTag must not
+    // match an empty way.
+    if (tag > kMaxTag)
+        return kNoWay;
     const WayIdx base = set * ways_;
     for (unsigned w = 0; w < ways_; ++w) {
         if (tagAt(base + w) == tag)
@@ -324,7 +328,7 @@ DirectMappedTagEccPolicy::residentDirty(Addr addr) const
 void
 DirectMappedTagEccPolicy::invalidateAll()
 {
-    std::fill(wayTag_.begin(), wayTag_.end(), kInvalidTag);
+    std::fill(wayTag_.begin(), wayTag_.end(), kInvalidWord);
     // Both fills are no-ops on the arrays that were never allocated.
     std::fill(wayLru_.begin(), wayLru_.end(), 0);
     std::fill(wayRetired_.begin(), wayRetired_.end(), 0);

@@ -30,6 +30,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/logging.hh"
 #include "imc/cache_policy.hh"
 #include "imc/ddo.hh"
 #include "mem/request.hh"
@@ -104,35 +105,54 @@ class DirectMappedTagEccPolicy : public CachePolicy
     }
     obs::SetProfiler *profiler() override { return profiler_; }
 
+    /**
+     * Largest tag a way can hold: the 15-bit tag field minus its
+     * all-ones value, which marks an empty way. SystemConfig::validate()
+     * rejects a 2LM geometry whose tags would exceed it.
+     */
+    static constexpr std::uint64_t kMaxTag = 0x7FFE;
+
   protected:
     /**
      * Handle into the structure-of-arrays line-state store: the flat
      * index set * ways + way, or kNoWay for "not found". Line state
      * is kept as parallel arrays (tag word, LRU stamp, retired) rather
-     * than an array of per-way structs. The tag word carries the
-     * whole per-request state: the tag in bits 0-62, the dirty flag in
-     * bit 63, and kInvalidTag for an empty way, so there is no
-     * separate valid or dirty byte to fetch. A probe, a hit and a
-     * write hit's dirty update all touch one host cache line of dense
-     * tag words (eight candidate ways per line). The LRU stamp is
-     * read only when choosing a victim among several valid ways, and
-     * the retired sideband only once a way has been retired.
+     * than an array of per-way structs. The 16-bit tag word carries
+     * the whole per-request state: the dirty flag in bit 0 and the tag
+     * in bits 1-15, with kInvalidWord (an all-ones tag field, clean)
+     * for an empty way, so there is no separate valid or dirty byte to
+     * fetch. A tag is lineIndex / numSets < ways x NVRAM/DRAM per
+     * channel (16 for the stock 512 GiB / 32 GiB direct-mapped
+     * geometry), so 15 bits hold every configuration validate()
+     * admits. Sixteen bits keep the tag array of a scaled run in the
+     * host's L2 (six channels of 131,072 ways is 1.5 MiB, where 64-bit
+     * words took 6 MiB), so a random probe does not pay an L3 round
+     * trip. The dirty flag sits in bit 0 so that markDirty() is an OR
+     * with an 8-bit immediate; bit 15 needs a 16-bit immediate, whose
+     * length-changing prefix stalls the decoder on every write hit. A
+     * probe, a hit and a write hit's dirty update all touch one host
+     * cache line of dense tag words (32 candidate ways per line). The
+     * LRU stamp is read only when choosing a victim among several
+     * valid ways, and the retired sideband only once a way has been
+     * retired.
      */
     using WayIdx = std::uint64_t;
     static constexpr WayIdx kNoWay = ~static_cast<WayIdx>(0);
 
-    /** Dirty flag of a tag word. */
-    static constexpr std::uint64_t kDirtyBit = std::uint64_t{1} << 63;
+    using TagWord = std::uint16_t;
 
-    /**
-     * Tag word of an empty way (never dirty). Real tags are lineIndex
-     * / numSets < 2^58 for any 64-bit address, so neither bit 63 nor
-     * this value is ever part of a live tag.
-     */
-    static constexpr std::uint64_t kInvalidTag = ~kDirtyBit;
+    /** Dirty flag of a tag word. */
+    static constexpr TagWord kDirtyBit = 1;
+
+    /** Tag field of an empty way; never a live tag (see kMaxTag). */
+    static constexpr std::uint64_t kInvalidTag = kMaxTag + 1;
+
+    /** Tag word of an empty way: the kInvalidTag field, clean. */
+    static constexpr TagWord kInvalidWord =
+        static_cast<TagWord>(kInvalidTag << 1);
 
     /** Tag of way @p w, dirty flag stripped (kInvalidTag if empty). */
-    std::uint64_t tagAt(WayIdx w) const { return wayTag_[w] & ~kDirtyBit; }
+    std::uint64_t tagAt(WayIdx w) const { return wayTag_[w] >> 1; }
     bool isDirty(WayIdx w) const { return (wayTag_[w] & kDirtyBit) != 0; }
     void markDirty(WayIdx w) { wayTag_[w] |= kDirtyBit; }
     bool wayValid(WayIdx w) const { return tagAt(w) != kInvalidTag; }
@@ -234,7 +254,7 @@ class DirectMappedTagEccPolicy : public CachePolicy
     void
     clearWay(WayIdx w)
     {
-        wayTag_[w] = kInvalidTag;
+        wayTag_[w] = kInvalidWord;
         if (ways_ > 1)
             wayLru_[w] = 0;
         if (!wayRetired_.empty())
@@ -243,12 +263,20 @@ class DirectMappedTagEccPolicy : public CachePolicy
 
     /**
      * Make @p w hold @p tag, clean, stamped most-recently-used, and
-     * tell the DDO tracker the line at @p addr is resident.
+     * tell the DDO tracker the line at @p addr is resident. A tag
+     * above kMaxTag would alias an empty way or another tag, so it
+     * panics instead.
      */
     void
     insertTag(WayIdx w, std::uint64_t tag, Addr addr)
     {
-        wayTag_[w] = tag;  // a bare tag: valid and clean
+        if (tag > kMaxTag)
+            panic("2LM tag %#llx of line %#llx exceeds the %#llx the "
+                  "16-bit tag word holds",
+                  static_cast<unsigned long long>(tag),
+                  static_cast<unsigned long long>(addr),
+                  static_cast<unsigned long long>(kMaxTag));
+        wayTag_[w] = static_cast<TagWord>(tag << 1);  // valid and clean
         touchLru(w);
         ddo_->noteInsert(lineBase(addr));
     }
@@ -277,7 +305,7 @@ class DirectMappedTagEccPolicy : public CachePolicy
     // see WayIdx for the layout rationale. A direct-mapped cache never
     // reads a stamp, so wayLru_ stays empty for ways == 1; wayRetired_
     // stays empty until the first retireFrame().
-    std::vector<std::uint64_t> wayTag_;
+    std::vector<TagWord> wayTag_;
     std::vector<std::uint32_t> wayLru_;
     std::vector<std::uint8_t> wayRetired_;
     std::uint64_t retiredWays_ = 0;

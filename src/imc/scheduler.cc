@@ -1,6 +1,7 @@
 #include "imc/scheduler.hh"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 
 #include "core/logging.hh"
@@ -276,6 +277,12 @@ ChannelTxQueue::ChannelTxQueue(const ControllerConfig &config,
         panic("ChannelTxQueue built for the analytic scheduler");
     if (refresh_.enabled())
         refreshAt_ = refresh_.trefi / cfg_.banks;
+    if (std::has_single_bit(cfg_.rowBytes) &&
+        std::has_single_bit(cfg_.banks)) {
+        rowShift_ = std::countr_zero(cfg_.rowBytes);
+        bankShift_ = std::countr_zero(cfg_.banks);
+        bankMask_ = cfg_.banks - 1;
+    }
 }
 
 bool
@@ -291,17 +298,21 @@ ChannelTxQueue::setCompletionHandler(CompletionHandler handler)
     onComplete_ = std::move(handler);
 }
 
-std::uint32_t
-ChannelTxQueue::bankOf(Addr addr) const
+void
+ChannelTxQueue::bankRowOf(Addr addr, std::uint32_t &bank,
+                          std::uint64_t &row) const
 {
-    return static_cast<std::uint32_t>((addr / cfg_.rowBytes) %
-                                      cfg_.banks);
-}
-
-std::uint64_t
-ChannelTxQueue::rowOf(Addr addr) const
-{
-    return addr / (cfg_.rowBytes * cfg_.banks);
+    // Rows interleave across the banks: row-sized chunk r lands in
+    // bank r % banks, as row r / banks of that bank.
+    if (rowShift_ >= 0) {
+        const Addr r = addr >> rowShift_;
+        bank = static_cast<std::uint32_t>(r & bankMask_);
+        row = r >> bankShift_;
+    } else {
+        const Addr r = addr / cfg_.rowBytes;
+        row = r / cfg_.banks;
+        bank = static_cast<std::uint32_t>(r - row * cfg_.banks);
+    }
 }
 
 void
@@ -331,8 +342,7 @@ ChannelTxQueue::enqueue(const Transaction &tx)
     QueuedTx q;
     q.tx = tx;
     q.seq = seq_++;
-    q.bank = bankOf(tx.addr);
-    q.row = rowOf(tx.addr);
+    bankRowOf(tx.addr, q.bank, q.row);
     q.drainStalled = draining_;
     (tx.kind == TransactionKind::Read ? reads_ : writes_).push(q);
 

@@ -349,8 +349,12 @@ class ChannelTxQueue
     /** Apply staggered per-bank refresh events up to time @p t. */
     void applyRefresh(double t);
 
-    std::uint32_t bankOf(Addr addr) const;
-    std::uint64_t rowOf(Addr addr) const;
+    /**
+     * The bank of @p addr and its row within that bank: shift and mask
+     * when rowBytes and banks are powers of two, else two divisions.
+     */
+    void bankRowOf(Addr addr, std::uint32_t &bank,
+                   std::uint64_t &row) const;
 
     ControllerConfig cfg_;
     double busBandwidth_;
@@ -365,6 +369,9 @@ class ChannelTxQueue
     double busFreeAt_ = 0;
     double refreshAt_ = 0;    //!< next staggered refresh event time
     std::uint32_t refreshBank_ = 0;
+    int rowShift_ = -1;  //!< log2(rowBytes) when both are powers of two
+    int bankShift_ = 0;  //!< log2(banks), valid when rowShift_ >= 0
+    std::uint32_t bankMask_ = 0;  //!< banks - 1, likewise
     std::uint64_t seq_ = 0;
     bool draining_ = false;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/logging.hh"
+#include "imc/dram_cache.hh"
 
 namespace nvsim
 {
@@ -72,6 +73,22 @@ SystemConfig::validate() const
               static_cast<unsigned long long>(interleaveGranularity));
     if (scaledNvramPerDimm() < scaledDramPerDimm())
         fatal("NVRAM DIMM smaller than DRAM DIMM after scaling");
+    if (mode == MemoryMode::TwoLm) {
+        // Every 2LM policy keeps a way's tag, lineIndex / sets, in a
+        // 15-bit field: the largest is just under ways x NVRAM/DRAM.
+        const std::uint64_t sets =
+            scaledDramPerDimm() / kLineSize / cacheWays;
+        const std::uint64_t max_tag =
+            sets ? (scaledNvramPerDimm() / kLineSize - 1) / sets : 0;
+        if (max_tag > DirectMappedTagEccPolicy::kMaxTag)
+            fatal("2LM tag %llu exceeds the 16-bit tag word's limit of "
+                  "%llu: cacheWays (%u) x NVRAM/DRAM per channel is too "
+                  "large",
+                  static_cast<unsigned long long>(max_tag),
+                  static_cast<unsigned long long>(
+                      DirectMappedTagEccPolicy::kMaxTag),
+                  cacheWays);
+    }
     if (mlp == 0)
         fatal("per-thread MLP must be at least 1");
     if (epochBytes == 0)

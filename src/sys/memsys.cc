@@ -493,31 +493,12 @@ MemorySystem::issueToImc(MemRequestKind kind, Addr line_addr,
     ChannelController &ch = channels_[ch_idx];
     AccessResult res = ch.handle(req, poolOf(phys));
     if (queued_) {
-        // Queued controller: the channel already moved the data (its
-        // counters, cache state and fault draws are the analytic
-        // model's), but a read's latency is decided by queue occupancy.
-        Transaction tx;
-        tx.addr = local;
-        tx.arrival = txArrival_;
-        txArrival_ += static_cast<double>(kLineSize) / offeredBandwidth();
-        tx.service = res.latency;
-        tx.kind = kind == MemRequestKind::LlcRead ? TransactionKind::Read
-                                                  : TransactionKind::Write;
-        tx.thread = static_cast<std::uint16_t>(thread);
-        tx.chargeDemand = charge_demand;
+        std::int32_t tag = -1;
         if (req.traced) {
-            tx.tag = static_cast<std::int32_t>(txCausal_.size());
+            tag = static_cast<std::int32_t>(txCausal_.size());
             txCausal_.push_back({kind, res.outcome, res.breakdown});
         }
-        if (tx.kind == TransactionKind::Write && charge_demand) {
-            // Posted write: the CPU-visible cost is the analytic
-            // accept time, charged now; the WPQ residency is pure
-            // interference.
-            epochLatencyWork_ += res.latency;
-            if (tel_)
-                tel_->noteLatency(res.latency);
-        }
-        ch.enqueue(tx);
+        enqueueTx(ch, kind, local, res.latency, thread, charge_demand, tag);
     } else if (charge_demand) {
         epochLatencyWork_ += res.latency;
         if (tel_)
@@ -536,6 +517,34 @@ MemorySystem::issueToImc(MemRequestKind kind, Addr line_addr,
     }
     if ((faultEnabled_ || maintEnabled_) && res.fault.any())
         noteRequestFaults(res.fault, kind, phys, ch_idx, charge_demand);
+}
+
+void
+MemorySystem::enqueueTx(ChannelController &ch, MemRequestKind kind,
+                        Addr local, double service, unsigned thread,
+                        bool charge_demand, std::int32_t tag)
+{
+    // The channel already moved the data (its counters, cache state
+    // and fault draws are the analytic model's), but a read's latency
+    // is decided by queue occupancy.
+    Transaction tx;
+    tx.addr = local;
+    tx.arrival = txArrival_;
+    txArrival_ += static_cast<double>(kLineSize) / offeredBandwidth();
+    tx.service = service;
+    tx.kind = kind == MemRequestKind::LlcRead ? TransactionKind::Read
+                                              : TransactionKind::Write;
+    tx.thread = static_cast<std::uint16_t>(thread);
+    tx.chargeDemand = charge_demand;
+    tx.tag = tag;
+    if (tx.kind == TransactionKind::Write && charge_demand) {
+        // Posted write: the CPU-visible cost is the analytic accept
+        // time, charged now; the WPQ residency is pure interference.
+        epochLatencyWork_ += service;
+        if (tel_)
+            tel_->noteLatency(service);
+    }
+    ch.enqueue(tx);
 }
 
 template <bool Fast>
@@ -585,8 +594,12 @@ MemorySystem::issueFast(MemRequestKind kind, Addr line_addr,
     const Addr phys = translate(line_addr);
     Addr local;
     const unsigned ch_idx = online_[imap_.route(phys, local)];
-    const double lat =
-        channels_[ch_idx].handleFast(kind, local, thread, poolOf(phys));
+    ChannelController &ch = channels_[ch_idx];
+    const double lat = ch.handleFast(kind, local, thread, poolOf(phys));
+    if (queued_) {
+        enqueueTx(ch, kind, local, lat, thread, /*charge_demand=*/true);
+        return;
+    }
     epochLatencyWork_ += lat;
     if (tel_)
         tel_->noteLatency(lat);
@@ -611,8 +624,8 @@ MemorySystem::submit(const AccessBatch &batch)
         lineBase(batch.addr + (batch.size ? batch.size - 1 : 0));
 
     // The reference per-line engine: required whenever per-request
-    // hooks may fire (observer, faults, maintenance), requests feed the
-    // queued controller one by one, or batching is disabled.
+    // hooks may fire (observer, faults, maintenance) or batching is
+    // disabled.
     if (referenceEngine()) {
         for (Addr line = first; line <= last; line += kLineSize)
             accessLine<false>(thread, op, line);
@@ -622,6 +635,14 @@ MemorySystem::submit(const AccessBatch &batch)
     // One line (a graph kernel's 4 B or 16 B element): no segments.
     if (first == last) {
         accessLine<true>(thread, op, first);
+        return;
+    }
+
+    // The queued controller takes requests one line at a time, each
+    // with its own arrival, so no 1LM run is coalesced.
+    if (queued_) {
+        for (Addr line = first; line <= last; line += kLineSize)
+            accessLine<true>(thread, op, line);
         return;
     }
 

@@ -288,12 +288,21 @@ class MemorySystem
     void issueToImc(MemRequestKind kind, Addr line_addr, unsigned thread,
                     bool charge_demand = true);
 
+    /**
+     * Queued controller: enqueue one device request that the channel
+     * has already served analytically, @p service being its analytic
+     * latency. A posted demand write is charged now; a read's latency
+     * is charged at its completion. @p tag indexes txCausal_, or -1.
+     */
+    void enqueueTx(ChannelController &ch, MemRequestKind kind, Addr local,
+                   double service, unsigned thread, bool charge_demand,
+                   std::int32_t tag = -1);
+
     /** submit() and touchLine() must take the per-line reference. */
     bool
     referenceEngine() const
     {
-        return !batched_ || obs_ || faultEnabled_ || maintEnabled_ ||
-               queued_;
+        return !batched_ || obs_ || faultEnabled_ || maintEnabled_;
     }
 
     /**
@@ -307,8 +316,9 @@ class MemorySystem
 
     /**
      * Batched engine's one-line device request: translate, route and
-     * ChannelController::handleFast(), charging the latency as demand.
-     * No MemRequest, AccessResult or fault plumbing.
+     * ChannelController::handleFast(), charging the latency as demand
+     * (or, queued, enqueueing it). No MemRequest, AccessResult or
+     * fault plumbing.
      */
     void issueFast(MemRequestKind kind, Addr line_addr,
                    std::uint16_t thread);
@@ -317,7 +327,7 @@ class MemorySystem
      * Batched engine behind submit(): @p lines consecutive lines from
      * @p first, guaranteed not to cross an epoch boundary. Only called
      * when no observer is attached and faults, maintenance and the
-     * queued controller are off. Segments the run by virtual page (one
+     * queued controller are off (queued submits go line by line). Segments the run by virtual page (one
      * translate() per segment, which allocates a first-touched frame
      * exactly where the per-line loop's first miss would), then by
      * physical interleave chunk and pool, and executes every LLC

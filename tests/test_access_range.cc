@@ -21,6 +21,7 @@
 #include "dnn/executor.hh"
 #include "dnn/networks.hh"
 #include "kernels/kernels.hh"
+#include "obs/telemetry/telemetry.hh"
 
 using namespace nvsim;
 
@@ -171,6 +172,55 @@ TEST(AccessRangeEquivalence, OneLmScatteredKernelGrid)
 TEST(AccessRangeEquivalence, TwoLmScatteredKernelGrid)
 {
     runGrid(scatteredConfig(MemoryMode::TwoLm));
+}
+
+TEST(AccessRangeEquivalence, QueuedKernelsMatchPerLine)
+{
+    // Under the queued controller the lean engine takes multi-line
+    // submits line by line, each line its own arrival: counters, the
+    // clock and the queue-aware latency distribution must equal the
+    // per-line reference's, in 2LM and in 1LM (no coalesced run).
+    for (MemoryMode mode : {MemoryMode::TwoLm, MemoryMode::OneLm}) {
+        SystemConfig cfg = config(mode);
+        cfg.controller.scheduler = "frfcfs";
+        cfg.controller.offeredGBs = 8;
+        for (const KernelCase &kc : kKernelCases) {
+            SCOPED_TRACE(std::string(memoryModeName(mode)) + " " +
+                         kc.name);
+            KernelConfig k;
+            k.op = kc.op;
+            k.nontemporal = kc.nontemporal;
+            k.pattern = AccessPattern::Random;
+            k.granularity = 256;
+            k.threads = 6;
+
+            MemorySystem batched(cfg);
+            MemorySystem per_line(cfg);
+            per_line.setBatchedAccess(false);
+            obs::TelemetryOptions topts;
+            topts.windowSeconds = 1e-4;
+            obs::TelemetryRun tel_batched("batched", topts);
+            obs::TelemetryRun tel_per_line("per_line", topts);
+            batched.attachTelemetry(&tel_batched);
+            per_line.attachTelemetry(&tel_per_line);
+            for (MemorySystem *sys : {&batched, &per_line}) {
+                Region r = sys->allocateIn(MemPool::Nvram, 2 * kMiB,
+                                           "arr");
+                runKernel(*sys, r, k);
+                sys->quiesce();
+                sys->detachTelemetry();
+            }
+            tel_batched.finish();
+            tel_per_line.finish();
+            expectIdentical(batched, per_line);
+            EXPECT_GT(batched.counters().rowBufferHits, 0u);
+            EXPECT_GT(tel_batched.quantileNs(0.99), 0.0);
+            EXPECT_EQ(tel_batched.quantileNs(0.50),
+                      tel_per_line.quantileNs(0.50));
+            EXPECT_EQ(tel_batched.quantileNs(0.99),
+                      tel_per_line.quantileNs(0.99));
+        }
+    }
 }
 
 TEST(AccessRangeEquivalence, OneLmDramPool)

@@ -100,6 +100,23 @@ TEST(ConfigValidateDeathTest, RejectsNvramSmallerThanDram)
                 "NVRAM DIMM smaller than DRAM");
 }
 
+TEST(ConfigValidateDeathTest, RejectsTagsBeyondTheTagWord)
+{
+    // The stock 512 GiB / 32 GiB ratio is 16: 2048 ways make the
+    // largest tag 2048 x 16 - 1 = 0x7FFF, one past the 15-bit field's
+    // limit; 1024 ways fit.
+    SystemConfig cfg = okConfig();
+    ASSERT_EQ(cfg.scaledNvramPerDimm() / cfg.scaledDramPerDimm(), 16u);
+    cfg.cacheWays = 1024;
+    cfg.validate();
+    cfg.cacheWays = 2048;
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "16-bit tag word's limit of 32766");
+    // The same geometry is fine in 1LM, which has no DRAM cache.
+    cfg.mode = MemoryMode::OneLm;
+    cfg.validate();
+}
+
 TEST(ConfigValidateDeathTest, RejectsZeroMlp)
 {
     SystemConfig cfg = okConfig();

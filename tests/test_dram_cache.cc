@@ -198,6 +198,62 @@ TEST(DramCache, RejectsOversizedTagStore)
     EXPECT_DEATH(DramCache cache(p), "scale");
 }
 
+// --- 16-bit tag word -----------------------------------------------------
+
+TEST(DramCacheTagWord, HoldsTheLowestAndHighestTagInOneSet)
+{
+    // One set of two ways: tag t is the line at t * 64 B. Tags 0 and
+    // kMaxTag (0x7FFE) sit side by side; each keeps its own dirty flag
+    // and comes back out as the right victim address.
+    DramCacheParams p = tinyParams();
+    p.capacity = 2 * kLineSize;
+    p.ways = 2;
+    DramCache cache(p);
+    ASSERT_EQ(cache.numSets(), 1u);
+    const Addr low = 0;
+    const Addr high = DramCache::kMaxTag * kLineSize;
+    ASSERT_EQ(DramCache::kMaxTag, 0x7FFEu);
+
+    EXPECT_EQ(cache.write(high).outcome, CacheOutcome::MissClean);
+    EXPECT_EQ(cache.read(low).outcome, CacheOutcome::MissClean);
+    EXPECT_TRUE(cache.resident(low));
+    EXPECT_TRUE(cache.resident(high));
+    EXPECT_TRUE(cache.residentDirty(high));
+    EXPECT_FALSE(cache.residentDirty(low));
+    EXPECT_EQ(cache.read(high).outcome, CacheOutcome::Hit);
+    EXPECT_EQ(cache.write(low).outcome, CacheOutcome::Hit);
+    EXPECT_TRUE(cache.residentDirty(low));
+
+    // A third tag evicts the LRU way (high, dirty): written back at
+    // its own address.
+    CacheResult r = cache.read(kLineSize);
+    EXPECT_EQ(r.outcome, CacheOutcome::MissDirty);
+    EXPECT_TRUE(r.wroteBack);
+    EXPECT_EQ(r.victim, high);
+    EXPECT_FALSE(cache.resident(high));
+    EXPECT_TRUE(cache.residentDirty(low));
+
+    // And the next one evicts low (dirty) at address 0.
+    r = cache.read(2 * kLineSize);
+    EXPECT_EQ(r.outcome, CacheOutcome::MissDirty);
+    EXPECT_EQ(r.victim, low);
+    EXPECT_TRUE(cache.resident(kLineSize));
+    EXPECT_TRUE(cache.resident(2 * kLineSize));
+}
+
+TEST(DramCacheTagWordDeathTest, InsertingATagTheWordCannotHoldPanics)
+{
+    // Tag 0x7FFF is the empty way's tag field: a probe must not match
+    // an empty way, and inserting it must panic rather than alias.
+    DramCacheParams p = tinyParams();
+    p.capacity = kLineSize;
+    DramCache cache(p);
+    const Addr addr = (DramCache::kMaxTag + 1) * kLineSize;
+    EXPECT_FALSE(cache.resident(addr));
+    EXPECT_FALSE(cache.residentDirty(addr));
+    EXPECT_DEATH(cache.read(addr), "16-bit tag word");
+}
+
 // --- Associativity ablation ----------------------------------------------
 
 TEST(DramCacheAssoc, TwoWayAbsorbsSingleAlias)

@@ -79,31 +79,19 @@ timeArg(const std::string &value, const char *flag)
     return v;
 }
 
-/** Real-valued argument (e.g. a z-score threshold). */
-inline double
-realArg(const std::string &value, const char *flag)
-{
-    char *end = nullptr;
-    double v = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0')
-        fatal("%s wants a number, got '%s'", flag, value.c_str());
-    return v;
-}
-
 /**
- * Flags that cannot change any simulated result — output paths,
- * worker counts, report sizes. They are excluded from the provenance
- * manifest so the same experiment writes byte-identical artifacts at
- * any --jobs=N or output filename.
+ * Flags that cannot change any simulated result — output paths and
+ * worker counts. They are excluded from the provenance manifest so
+ * the same experiment writes byte-identical artifacts at any --jobs=N
+ * or output filename.
  */
 inline bool
 manifestNeutral(const char *arg)
 {
     static const char *const kNeutral[] = {
-        "--jobs=",          "--stats-json=",  "--stats-prom=",
-        "--perfetto=",      "--set-heatmap=", "--causal-trace=",
-        "--folded-stacks=", "--telemetry=",   "--telemetry-json=",
-        "--anomaly-report=", "--top-sets=",
+        "--jobs=",           "--stats-json=",    "--stats-prom=",
+        "--perfetto=",       "--causal-trace=",  "--folded-stacks=",
+        "--telemetry=",      "--telemetry-json=",
     };
     for (const char *prefix : kNeutral) {
         if (std::strncmp(arg, prefix, std::strlen(prefix)) == 0)
@@ -120,14 +108,8 @@ parseObsFlag(const char *arg, obs::SessionOptions &opts)
     if (matchFlag(arg, "--stats-json=", &opts.statsJsonPath) ||
         matchFlag(arg, "--stats-prom=", &opts.statsPromPath) ||
         matchFlag(arg, "--perfetto=", &opts.perfettoPath) ||
-        matchFlag(arg, "--set-heatmap=", &opts.heatmapPath) ||
         matchFlag(arg, "--causal-trace=", &opts.causalJsonPath) ||
         matchFlag(arg, "--folded-stacks=", &opts.foldedPath)) {
-        return true;
-    }
-    if (matchFlag(arg, "--top-sets=", &value)) {
-        opts.topSets =
-            static_cast<std::size_t>(numberArg(value, "--top-sets="));
         return true;
     }
     if (matchFlag(arg, "--causal-sample=", &value)) {
@@ -153,16 +135,6 @@ parseObsFlag(const char *arg, obs::SessionOptions &opts)
     if (matchFlag(arg, "--telemetry-ring=", &value)) {
         opts.telemetry.ringWindows = static_cast<std::size_t>(
             numberArg(value, "--telemetry-ring="));
-        return true;
-    }
-    if (matchFlag(arg, "--anomaly-report=",
-                  &opts.telemetry.anomalyJsonPath)) {
-        return true;
-    }
-    if (matchFlag(arg, "--anomaly-z=", &value)) {
-        opts.telemetry.anomalyZ = realArg(value, "--anomaly-z=");
-        if (opts.telemetry.anomalyZ <= 0)
-            fatal("--anomaly-z= must be positive");
         return true;
     }
     return false;
@@ -197,8 +169,6 @@ benchUsage()
            "  --stats-json=FILE   hierarchical stats registry as JSON\n"
            "  --stats-prom=FILE   same registry, Prometheus text\n"
            "  --perfetto=FILE     Chrome-trace JSON (ui.perfetto.dev)\n"
-           "  --set-heatmap=FILE  per-set DRAM cache conflict CSV\n"
-           "  --top-sets=N        hottest-set report size (default 16)\n"
            "  --causal-trace=FILE per-request causal attribution JSON\n"
            "  --folded-stacks=FILE folded flamegraph lines\n"
            "  --causal-sample=N   sample 1-in-N requests (default 64)\n"
@@ -213,11 +183,7 @@ benchUsage()
            "                      (default 4096; oldest evicted first)\n"
            "  --slo=SPEC          objectives, e.g.\n"
            "                      'p99_ns<2000;eff_gbs>10@95%'; the\n"
-           "                      report prints PASS/FAIL per run\n"
-           "  --anomaly-report=FILE per-window anomaly detector\n"
-           "                      firings as nvsim-anomaly-v1 JSON\n"
-           "  --anomaly-z=Z       robust z-score firing threshold\n"
-           "                      (default 6.0)";
+           "                      report prints PASS/FAIL per run";
 }
 
 /**

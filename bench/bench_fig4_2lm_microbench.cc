@@ -103,8 +103,8 @@ main(int argc, char **argv)
                 primeClean(sys, arr, 8);
             sys.resetCounters();
 
-            // Attach after priming so the histograms and heatmap hold
-            // the measured kernel only, not the warmup traffic. (With
+            // Attach after priming so the histograms hold the
+            // measured kernel only, not the warmup traffic. (With
             // a session enabled the sweep is forced serial, so the
             // begin/end pairs nest correctly.)
             attachRun(session, sys,

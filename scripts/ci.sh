@@ -91,18 +91,47 @@ echo "determinism smoke passed: outputs byte-identical."
 
 # Observability smoke: one bench run with every obs output enabled;
 # both JSON artifacts must parse (json.tool exits nonzero otherwise).
-echo "=== obs smoke (stats JSON / Perfetto / heatmap) ==="
+echo "=== obs smoke (stats JSON / Perfetto / Prometheus) ==="
 obs_dir=$(mktemp -d)
 trap 'rm -rf "$obs_dir"' EXIT
 (cd "$obs_dir" && "$root/build/bench/bench_fig4_2lm_microbench" \
     --stats-json=stats.json --stats-prom=stats.prom \
-    --perfetto=trace.json --set-heatmap=heatmap.csv \
-    --top-sets=4 > bench.log)
+    --perfetto=trace.json > bench.log)
 python3 -m json.tool "$obs_dir/stats.json" > /dev/null
 python3 -m json.tool "$obs_dir/trace.json" > /dev/null
-head -1 "$obs_dir/heatmap.csv" | grep -q '^run,set,hits,misses,evictions$'
 test -s "$obs_dir/stats.prom"
 echo "obs smoke passed: artifacts written and valid."
+
+# Flag census: every flag benchUsage() lists (any bench prints it on
+# an unknown argument) must have a row in DESIGN.md's census table
+# naming its consumer, and the flags the census deleted stay deleted.
+echo "=== flag census (benchUsage vs DESIGN.md) ==="
+fig4="$root/build/bench/bench_fig4_2lm_microbench"
+# Run a command that must fail; its output lands in $obs_dir/out.txt.
+rejects() {
+    if "$@" > "$obs_dir/out.txt" 2>&1; then
+        echo "expected a nonzero exit from: $*"
+        exit 1
+    fi
+}
+rejects "$fig4" --no-such-flag
+census=$(grep -oE '^  --[a-z-]+=?' "$obs_dir/out.txt")
+test -n "$census"
+for flag in $census; do
+    grep -qF "| \`$flag" "$root/DESIGN.md" || {
+        echo "flag $flag has no row in DESIGN.md's flag census"
+        exit 1
+    }
+done
+for arg in --set-heatmap=x --top-sets=4 --anomaly-report=x \
+           --anomaly-z=6; do
+    rejects "$fig4" "$arg"
+    grep -q "unknown argument '$arg'" "$obs_dir/out.txt"
+done
+rejects "$root/build/tools/nvsim_inspect" anomalies x.json
+grep -q '^usage: nvsim_inspect' "$obs_dir/out.txt"
+echo "flag census passed: $(echo "$census" | wc -l) flags, each with a" \
+     "consumer; deleted flags rejected."
 
 # Causal-tracing smoke: the attribution JSON and the Perfetto flow
 # trace must parse, and the folded stacks must blame every Figure-3
@@ -277,8 +306,7 @@ echo "telemetry determinism passed: exports byte-identical."
 # Differential-telemetry smoke: two identical invocations must diff
 # empty (exit 0); a perturbed maintenance config must diff non-empty
 # (exit 1) with the regression blamed on the maintenance counter
-# family. Also smokes the anomalies/manifest subcommands and the
-# --anomaly-report= bench flag.
+# family. Also smokes the manifest subcommand.
 echo "=== diff smoke (nvsim_inspect over telemetry artifacts) ==="
 inspect="$root/build/tools/nvsim_inspect"
 diff_dir=$(mktemp -d)
@@ -320,11 +348,6 @@ grep -q 'config hash' "$diff_dir/diff.txt"
 python3 -m json.tool "$diff_dir/diff.json" > /dev/null
 "$inspect" manifest "$diff_dir/a/tel.json" | \
     grep -q 'bench: bench_fig4_2lm_microbench'
-"$inspect" anomalies "$diff_dir/a/tel.json" > /dev/null || true
-(cd "$diff_dir/a" && "$root/build/bench/bench_fig4_2lm_microbench" \
-    --jobs=2 --anomaly-report=anoms.json > /dev/null)
-python3 -m json.tool "$diff_dir/a/anoms.json" > /dev/null
-grep -q '"schema":"nvsim-anomaly-v1"' "$diff_dir/a/anoms.json"
 rm -rf "$diff_dir"
 echo "diff smoke passed: empty on identical runs, maintenance blamed" \
      "on perturbation."

@@ -10,16 +10,13 @@ needed for those.
 
 JSON artifacts are dispatched on their "schema" field: an
 nvsim-telemetry-diff-v1 report (nvsim_inspect diff --json=...) becomes
-a per-window signed relative-delta heatmap, and an nvsim-anomaly-v1
-report (--anomaly-report=) can be overlaid on the telemetry plot as
-markers at the windows where a detector fired.
+a per-window signed relative-delta heatmap.
 
 Usage:
     python3 scripts/plot_traces.py fig5_traces.csv [out.png]
     python3 scripts/plot_traces.py fig2_nvram_bw.csv
     python3 scripts/plot_traces.py fig4_folded.txt [out.svg]
     python3 scripts/plot_traces.py tel.csv          # --telemetry= series
-    python3 scripts/plot_traces.py tel.csv --anomalies=anoms.json
     python3 scripts/plot_traces.py diff.json [out.png]
 
 Requires matplotlib for the CSV plots (not needed for the simulation
@@ -75,33 +72,6 @@ def plot_trace(header, rows, out):
     print(f"wrote {out}")
 
 
-def plot_heatmap(header, rows, out):
-    """run,set,hits,misses,evictions rows (--set-heatmap output)."""
-    import matplotlib
-
-    matplotlib.use("Agg")
-    import matplotlib.pyplot as plt
-
-    runs = defaultdict(lambda: ([], []))
-    for run, set_idx, hits, misses, evictions in rows:
-        xs, ys = runs[run]
-        xs.append(int(set_idx))
-        ys.append(int(misses) + int(evictions))
-
-    n = len(runs)
-    fig, axes = plt.subplots(n, 1, figsize=(10, 2.2 * n), sharex=True)
-    if n == 1:
-        axes = [axes]
-    for ax, (run, (xs, ys)) in zip(axes, sorted(runs.items())):
-        ax.vlines(xs, 0, ys, linewidth=0.7)
-        ax.set_ylabel("misses+evictions", fontsize=7)
-        ax.set_title(run, fontsize=8)
-    axes[-1].set_xlabel("DRAM cache set")
-    fig.tight_layout()
-    fig.savefig(out, dpi=150)
-    print(f"wrote {out}")
-
-
 def plot_sweep(header, rows, out):
     """threads-on-x sweeps (fig2)."""
     import matplotlib
@@ -131,13 +101,11 @@ def plot_sweep(header, rows, out):
     print(f"wrote {out}")
 
 
-def plot_telemetry(header, rows, out, anomalies=None):
+def plot_telemetry(header, rows, out):
     """--telemetry= windowed series (run,window,t0,t1,channel,metric,
     value): bandwidth rates on top, latency percentiles below, one
     line per run. Only the aggregate ("all") channel is drawn; the
-    per-channel rows carry the same metrics at finer grain. With
-    anomalies (an nvsim-anomaly-v1 document), detector firings are
-    drawn as vertical markers at the windows that fired."""
+    per-channel rows carry the same metrics at finer grain."""
     import matplotlib
 
     matplotlib.use("Agg")
@@ -146,12 +114,8 @@ def plot_telemetry(header, rows, out, anomalies=None):
     rates = ("eff_gbs", "dram_gbs", "nvram_gbs")
     pcts = ("p50_ns", "p99_ns")
     series = defaultdict(lambda: ([], []))
-    window_t0 = {}  # (run, window index) -> plotted time (ms)
-    for run, window, t0, _t1, channel, metric, value in rows:
-        if channel != "all":
-            continue
-        window_t0[(run, int(window))] = float(t0) * 1e3
-        if metric not in rates + pcts:
+    for run, _window, t0, _t1, channel, metric, value in rows:
+        if channel != "all" or metric not in rates + pcts:
             continue
         xs, ys = series[(run, metric)]
         xs.append(float(t0) * 1e3)
@@ -169,26 +133,6 @@ def plot_telemetry(header, rows, out, anomalies=None):
     for (run, metric), (xs, ys) in sorted(series.items()):
         ax = axes[1] if metric in pcts and have_pcts else axes[0]
         ax.plot(xs, ys, label=f"{run}:{metric}", linewidth=0.9)
-
-    shown = missed = 0
-    for run_entry in (anomalies or {}).get("runs", []):
-        label = run_entry.get("label", "")
-        for a in run_entry.get("anomalies", []):
-            t = window_t0.get((label, int(a["window"])))
-            if t is None:
-                missed += 1
-                continue
-            shown += 1
-            for ax in axes:
-                ax.axvline(t, color="red", linewidth=0.6, alpha=0.5)
-            axes[0].annotate(a["metric"], (t, 0.98),
-                             xycoords=("data", "axes fraction"),
-                             fontsize=5, rotation=90, color="red",
-                             ha="right", va="top")
-    if anomalies is not None:
-        print(f"anomaly overlay: {shown} firing(s) drawn"
-              + (f", {missed} outside the CSV's windows" if missed
-                 else ""))
 
     axes[0].set_ylabel("GB/s")
     axes[0].legend(fontsize=6, ncol=2)
@@ -356,17 +300,9 @@ def is_json(path):
 def main():
     args = [a for a in sys.argv[1:] if not a.startswith("--")]
     flags = [a for a in sys.argv[1:] if a.startswith("--")]
-    anomalies = None
-    for flag in flags:
-        if flag.startswith("--anomalies="):
-            with open(flag.split("=", 1)[1]) as f:
-                anomalies = json.load(f)
-            if anomalies.get("schema") != "nvsim-anomaly-v1":
-                print(f"{flag}: not an nvsim-anomaly-v1 document")
-                return 1
-        else:
-            print(f"unknown flag {flag}")
-            return 2
+    if flags:
+        print(f"unknown flag {flags[0]}")
+        return 2
     if not args:
         print(__doc__)
         return 2
@@ -394,11 +330,9 @@ def main():
         plot_trace(header, rows, out)
     elif header[:2] == ["figure", "variant"]:
         plot_sweep(header, rows, out)
-    elif header[:2] == ["run", "set"]:
-        plot_heatmap(header, rows, out)
     elif header == ["run", "window", "t0", "t1", "channel", "metric",
                     "value"]:
-        plot_telemetry(header, rows, out, anomalies)
+        plot_telemetry(header, rows, out)
     else:
         print(f"don't know how to plot columns {header}; "
               "see EXPERIMENTS.md for the semantics")

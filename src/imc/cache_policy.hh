@@ -36,11 +36,6 @@
 namespace nvsim
 {
 
-namespace obs
-{
-class SetProfiler;
-} // namespace obs
-
 /** DRAM cache geometry/behavior shared by every policy (one channel). */
 struct DramCacheParams
 {
@@ -195,14 +190,6 @@ class CachePolicy
     virtual std::uint64_t numSets() const = 0;
     virtual unsigned ways() const = 0;
     virtual const DramCacheParams &params() const = 0;
-
-    /**
-     * Attach (or detach, with nullptr) a set-conflict profiler. Not
-     * owned; typically the Observer's profiler, shared across channels
-     * of identical geometry.
-     */
-    virtual void setProfiler(obs::SetProfiler *profiler) = 0;
-    virtual obs::SetProfiler *profiler() = 0;
 
     /**
      * Demand latency of one request under this policy: which device

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/logging.hh"
-#include "obs/heatmap.hh"
 
 namespace nvsim
 {
@@ -147,8 +146,6 @@ DirectMappedTagEccPolicy::evict(std::uint64_t set, WayIdx victim,
     result.outcome = CacheOutcome::MissClean;
     if (!wayValid(victim))
         return;
-    if (profiler_)
-        profiler_->noteEviction(set);
     Addr victim_addr = addrOf(set, tagAt(victim));
     if (isDirty(victim)) {
         // Write the dirty victim back to NVRAM.
@@ -192,12 +189,8 @@ DirectMappedTagEccPolicy::read(Addr addr)
     if (WayIdx way = find(set, tag); way != kNoWay) {
         result.outcome = CacheOutcome::Hit;
         touchLru(way);
-        if (profiler_)
-            profiler_->noteHit(set);
         return result;
     }
-    if (profiler_)
-        profiler_->noteMiss(set);
     if (shouldInsert(addr, MemRequestKind::LlcRead) && !setRetired(set))
         missHandler(addr, set, tag, result);
     else
@@ -221,8 +214,6 @@ DirectMappedTagEccPolicy::write(Addr addr)
         result.actions.dramWrites = 1;
         markDirty(way);
         touchLru(way);
-        if (profiler_)
-            profiler_->noteHit(set);
         return result;
     }
 
@@ -230,8 +221,6 @@ DirectMappedTagEccPolicy::write(Addr addr)
     result.actions.dramReads = 1;
 
     if (way == kNoWay) {
-        if (profiler_)
-            profiler_->noteMiss(set);
         if (!params_.insertOnWriteMiss ||
             !shouldInsert(addr, MemRequestKind::LlcWrite) ||
             setRetired(set)) {
@@ -248,8 +237,6 @@ DirectMappedTagEccPolicy::write(Addr addr)
         way = missHandler(addr, set, tag, result);
     } else {
         result.outcome = CacheOutcome::Hit;
-        if (profiler_)
-            profiler_->noteHit(set);
     }
 
     result.actions.dramWrites += 1;
@@ -303,8 +290,6 @@ DirectMappedTagEccPolicy::retireFrame(Addr frame)
         // Keep the DDO tracker consistent: the line is gone, later
         // writes must not elide their tag check.
         ddo_->noteEvict(tc.line);
-        if (profiler_)
-            profiler_->noteEviction(idx / ways_);
     }
     clearWay(idx);
     wayRetired_[idx] = 1;

@@ -95,17 +95,6 @@ class DirectMappedTagEccPolicy : public CachePolicy
     DdoPolicy &ddo() { return *ddo_; }
 
     /**
-     * Attach (or detach, with nullptr) a set-conflict profiler. Not
-     * owned; typically the Observer's profiler, shared across channels
-     * of identical geometry.
-     */
-    void setProfiler(obs::SetProfiler *profiler) override
-    {
-        profiler_ = profiler;
-    }
-    obs::SetProfiler *profiler() override { return profiler_; }
-
-    /**
      * Largest tag a way can hold: the 15-bit tag field minus its
      * all-ones value, which marks an empty way. SystemConfig::validate()
      * rejects a 2LM geometry whose tags would exceed it.
@@ -311,7 +300,6 @@ class DirectMappedTagEccPolicy : public CachePolicy
     std::uint64_t retiredWays_ = 0;
     std::uint32_t lruClock_ = 0;
     std::unique_ptr<DdoPolicy> ddo_;
-    obs::SetProfiler *profiler_ = nullptr;  //!< optional, not owned
 };
 
 /**

@@ -1,6 +1,5 @@
 #include "imc/sram_tag_policy.hh"
 
-#include "obs/heatmap.hh"
 
 namespace nvsim
 {
@@ -41,12 +40,8 @@ SramTagSetAssocPolicy::read(Addr addr)
         result.actions.dramReads = 1;
         if (lru_)
             touchLru(way);
-        if (profiler_)
-            profiler_->noteHit(set);
         return result;
     }
-    if (profiler_)
-        profiler_->noteMiss(set);
     if (setRetired(set)) {
         // Every way was mapped out by the scrub retirement ladder:
         // serve straight from NVRAM without filling.
@@ -72,12 +67,8 @@ SramTagSetAssocPolicy::write(Addr addr)
         markDirty(way);
         if (lru_)
             touchLru(way);
-        if (profiler_)
-            profiler_->noteHit(set);
         return result;
     }
-    if (profiler_)
-        profiler_->noteMiss(set);
     if (!params_.insertOnWriteMiss) {
         // Write-no-allocate ablation: straight to NVRAM, no fill.
         bypassWrite(addr, result);

@@ -8,10 +8,10 @@
  * latency sketch's sparse buckets. loadTelemetryDoc() parses a file
  * back into real TelemetryWindow structs (sketches reconstructed via
  * LatencySketch::fromSparse), so every in-process computation —
- * derived window metrics, SLO evaluation, anomaly detection — runs
+ * derived window metrics, SLO evaluation, the diff — runs
  * identically over a reloaded artifact. That is the foundation of
- * both `nvsim_inspect` subcommands: a diff or anomaly scan of a file
- * gives bit-identical answers to the run that produced it.
+ * `nvsim_inspect`: a diff of a file gives bit-identical answers to
+ * the run that produced it.
  *
  * Malformed input is fatal() (operator input, like config files); a
  * structurally valid document with missing optional sections (no

@@ -100,21 +100,6 @@ Observer::noteLlcHit()
         causal_->noteLlcHit();
 }
 
-SetProfiler *
-Observer::ensureSetProfiler(std::uint64_t num_sets)
-{
-    if (!wantHeatmap_)
-        return nullptr;
-    if (!setProfiler_)
-        setProfiler_ = std::make_unique<SetProfiler>(num_sets);
-    else if (setProfiler_->numSets() != num_sets)
-        panic("set profiler geometry changed mid-run (%llu -> %llu "
-              "sets)",
-              static_cast<unsigned long long>(setProfiler_->numSets()),
-              static_cast<unsigned long long>(num_sets));
-    return setProfiler_.get();
-}
-
 void
 Observer::noteRequest(bool demand, CacheOutcome outcome,
                       unsigned device_accesses, double latency_s)
@@ -222,8 +207,6 @@ Observer::onCountersReset(double prior_now)
         h->reset();
     for (Log2Histogram *h : accesses_)
         h->reset();
-    if (setProfiler_)
-        setProfiler_->reset();
     if (causal_)
         causal_->onCountersReset();
     if (tracer_)

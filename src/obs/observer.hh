@@ -14,8 +14,6 @@
  *  - per-request latency and device-access-count histograms keyed by
  *    outcome class (tag hit / clean miss / dirty miss / DDO write /
  *    uncached) — Table I as a distribution instead of a mean;
- *  - an optional per-set conflict profile of the DRAM cache
- *    (obs/heatmap.hh);
  *  - optional Chrome-trace/Perfetto events: epoch and kernel spans,
  *    DMA transfers, throttle and channel-offline instants
  *    (obs/perfetto.hh).
@@ -36,7 +34,6 @@
 
 #include "imc/counters.hh"
 #include "mem/request.hh"
-#include "obs/heatmap.hh"
 #include "obs/manifest.hh"
 #include "obs/perfetto.hh"
 #include "obs/prometheus.hh"
@@ -81,21 +78,9 @@ class Observer
     const Registry &registry() const { return registry_; }
     Group &root() { return registry_.root(); }
 
-    /** Request heatmap collection before attaching. */
-    void enableHeatmap() { wantHeatmap_ = true; }
-    bool heatmapWanted() const { return wantHeatmap_; }
-
     /** Per-run provenance (set by MemorySystem::attachObserver). */
     void setProvenance(ConfigDigest d) { provenance_ = std::move(d); }
     const ConfigDigest &provenance() const { return provenance_; }
-
-    /**
-     * Create (once) the shared set profiler for caches of @p num_sets
-     * sets; returns null unless heatmap collection was requested.
-     */
-    SetProfiler *ensureSetProfiler(std::uint64_t num_sets);
-    SetProfiler *setProfiler() { return setProfiler_.get(); }
-    const SetProfiler *setProfiler() const { return setProfiler_.get(); }
 
     /** Attach a (session-owned) trace collector; may stay null. */
     void setTracer(PerfettoTracer *tracer) { tracer_ = tracer; }
@@ -160,7 +145,7 @@ class Observer
 
     /**
      * The observed system reset its counters and clock (post-warmup):
-     * drop warmup histogram/heatmap samples and shift the trace time
+     * drop warmup histogram samples and shift the trace time
      * base so post-reset events stay ordered after pre-reset ones.
      */
     void onCountersReset(double prior_now);
@@ -192,8 +177,6 @@ class Observer
     std::string runLabel_;
     Registry registry_;
     ConfigDigest provenance_;
-    bool wantHeatmap_ = false;
-    std::unique_ptr<SetProfiler> setProfiler_;
     PerfettoTracer *tracer_ = nullptr;  //!< not owned; may be null
     std::unique_ptr<CausalTracer> causal_;
     std::function<void()> detachHook_;

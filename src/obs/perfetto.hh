@@ -31,7 +31,6 @@ enum class Track : std::uint32_t {
     Dma = 3,      //!< DMA engine transfers
     CausalDemand = 4,   //!< sampled demand-request spans (obs/causal)
     CausalDevices = 5,  //!< induced device-access spans (obs/causal)
-    Anomalies = 6,  //!< anomaly-detector instants (obs/diff/anomaly)
     Channel0 = 16,  //!< per-channel instants: Channel0 + channel index
 };
 

@@ -1,13 +1,11 @@
 #include "obs/session.hh"
 
-#include <cstdio>
 #include <fstream>
 
 #include <sstream>
 
 #include "core/logging.hh"
 #include "obs/causal.hh"
-#include "obs/diff/anomaly.hh"
 #include "obs/json.hh"
 
 namespace nvsim::obs
@@ -40,8 +38,6 @@ Session::Session(SessionOptions opts)
             tracer_.nameTrack(Track::CausalDemand, "causal demand");
             tracer_.nameTrack(Track::CausalDevices, "causal devices");
         }
-        if (opts_.telemetry.any())
-            tracer_.nameTrack(Track::Anomalies, "anomalies");
     }
 }
 
@@ -60,8 +56,6 @@ Session::beginRun(const std::string &label)
         return nullptr;
     endRun();
     current_ = std::make_unique<Observer>(label);
-    if (!opts_.heatmapPath.empty())
-        current_->enableHeatmap();
     if (!opts_.perfettoPath.empty()) {
         // Each run's simulated clock starts at zero; lay runs end to
         // end on the shared timeline.
@@ -115,18 +109,6 @@ Session::endRun()
                 if (TelemetryRun::windowMetric(win, "p99_ns", &v))
                     tracer_.counter("tel_p99_ns", t, v);
             }
-            // Detector firings as instants at the window end, so a
-            // throttle onset or refresh storm is visible in the UI
-            // next to the counter track that moved.
-            AnomalyOptions aopts;
-            aopts.z = opts_.telemetry.anomalyZ;
-            AnomalyReport report =
-                detectAnomalies(*currentTel_, aopts);
-            for (const Anomaly &a : report.anomalies) {
-                double t = static_cast<double>(a.window + 1) * w;
-                tracer_.instant(Track::Anomalies,
-                                "anomaly:" + a.metric, t);
-            }
         }
         currentTel_ = nullptr;
     }
@@ -142,11 +124,6 @@ Session::endRun()
         causal->dumpJson(os);
         causalRuns_.emplace_back(current_->runLabel(), os.str());
         nextFlowId_ += causal->flowsEmitted();
-    }
-    if (const SetProfiler *prof = current_->setProfiler()) {
-        prof->appendCsvRows(current_->runLabel(), heatRows_);
-        if (opts_.topSets > 0)
-            std::fputs(prof->report(opts_.topSets).c_str(), stdout);
     }
     if (!opts_.perfettoPath.empty()) {
         double end = tracer_.horizon();
@@ -260,17 +237,6 @@ Session::writeFiles(bool from_destructor)
                      tracer_.dropped());
             inform("obs: wrote trace to %s (load in ui.perfetto.dev)",
                    opts_.perfettoPath.c_str());
-        }
-    }
-
-    if (!opts_.heatmapPath.empty()) {
-        std::ofstream ofs;
-        if (open(opts_.heatmapPath, ofs)) {
-            ofs << "run,set,hits,misses,evictions\n";
-            for (const std::string &row : heatRows_)
-                ofs << row << '\n';
-            inform("obs: wrote set heatmap to %s",
-                   opts_.heatmapPath.c_str());
         }
     }
 

@@ -6,14 +6,12 @@
  * A bench typically constructs several MemorySystems (one per
  * scenario/pattern/thread-count). A Session hands out one Observer
  * per run, lays the runs end to end on a single Perfetto timeline,
- * and accumulates per-run stats snapshots and heatmap rows. At
- * destruction (or an explicit write()) it emits the files the user
- * asked for:
+ * and accumulates per-run stats snapshots. At destruction (or an
+ * explicit write()) it emits the files the user asked for:
  *
  *   --stats-json=F    {"runs":[{"label":..,"stats":{..}},..]}
  *   --stats-prom=F    Prometheus text exposition, run="label" labels
  *   --perfetto=F      Chrome-trace JSON; open in ui.perfetto.dev
- *   --set-heatmap=F   CSV run,set,hits,misses,evictions
  *
  * The session also owns the telemetry engine's per-run collectors
  * (--telemetry= / --telemetry-json= / --slo=, see
@@ -45,8 +43,6 @@ struct SessionOptions
     std::string statsJsonPath;
     std::string statsPromPath;
     std::string perfettoPath;
-    std::string heatmapPath;
-    std::size_t topSets = 16;  //!< hottest-set console report size
 
     /** @name Causal tracing (obs/causal.hh) */
     ///@{
@@ -74,8 +70,7 @@ struct SessionOptions
     any() const
     {
         return !statsJsonPath.empty() || !statsPromPath.empty() ||
-               !perfettoPath.empty() || !heatmapPath.empty() ||
-               causal();
+               !perfettoPath.empty() || causal();
     }
 
     /** Any output at all (observer or telemetry). */
@@ -125,8 +120,7 @@ class Session
      * observed MemorySystem is still alive (the registry's formulas
      * read its state). The sealed Observer stays owned by the session
      * until destruction, so a system that is still attached to it can
-     * safely be destroyed afterwards. Prints the hottest-set report
-     * when heatmap collection is on.
+     * safely be destroyed afterwards.
      */
     void endRun();
 
@@ -148,7 +142,6 @@ class Session
     std::vector<PromFamily> promFamilies_;
     /** (run label, config digest) per ended run: nvsim_build_info. */
     std::vector<std::pair<std::string, ConfigDigest>> buildInfo_;
-    std::vector<std::string> heatRows_;
     std::vector<std::pair<std::string, std::string>> causalRuns_;
     std::vector<std::string> foldedLines_;
     std::uint64_t nextFlowId_ = 1;  //!< flow ids unique across runs

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "core/logging.hh"
-#include "obs/diff/anomaly.hh"
 #include "obs/telemetry/telemetry.hh"
 
 namespace nvsim::obs
@@ -20,7 +19,7 @@ const char *kGrammar =
     "  ops: < <= > >=   metrics: p50_ns p90_ns p99_ns p999_ns min_ns "
     "max_ns mean_ns\n"
     "  latency_count eff_gbs dram_gbs nvram_gbs amplification "
-    "maint_duty active_s epochs anomalies\n"
+    "maint_duty active_s epochs\n"
     "  example: --slo='p99_ns<1500@95%;amplification<3.2'";
 
 std::string
@@ -88,8 +87,7 @@ SloSpec::parse(const std::string &text)
         o.op = token[opPos] == '<' ? (opLen == 2 ? Op::Le : Op::Lt)
                                    : (opLen == 2 ? Op::Ge : Op::Gt);
         o.metric = trim(token.substr(0, opPos));
-        if (o.metric != "anomalies" &&
-            !TelemetryRun::knownMetric(o.metric))
+        if (!TelemetryRun::knownMetric(o.metric))
             fatal("unknown SLO metric '%s' in '%s'\n%s",
                   o.metric.c_str(), token.c_str(), kGrammar);
         std::string rest = trim(token.substr(opPos + opLen));
@@ -113,24 +111,17 @@ SloSpec::parse(const std::string &text)
 }
 
 SloResult
-evaluateSlo(const SloSpec &spec, const TelemetryRun &run,
-            const AnomalyReport *anomalies)
+evaluateSlo(const SloSpec &spec, const TelemetryRun &run)
 {
     SloResult result;
     for (const SloObjective &o : spec.objectives) {
         SloObjectiveResult r;
         r.spec = o.spec;
         bool haveWorst = false;
-        bool wantAnomalies = o.metric == "anomalies";
         for (const TelemetryWindow &w : run.windows()) {
             double v = 0;
-            if (wantAnomalies) {
-                v = anomalies ? static_cast<double>(
-                                    anomalies->countAt(w.index))
-                              : 0.0;
-            } else if (!TelemetryRun::windowMetric(w, o.metric, &v)) {
+            if (!TelemetryRun::windowMetric(w, o.metric, &v))
                 continue;
-            }
             ++r.eligible;
             if (o.holds(v)) {
                 ++r.compliant;

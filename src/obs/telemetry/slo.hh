@@ -24,13 +24,6 @@
  * metric applies (a latency percentile needs at least one request in
  * the window); it passes when compliant/eligible >= budget. A run with
  * no eligible windows passes vacuously (reported as such).
- *
- * The special metric `anomalies` is the per-window count of online
- * anomaly-detector firings (obs/diff/anomaly.hh), so
- * --slo='anomalies<1' demands an anomaly-free run and
- * --slo='anomalies<1@95%' tolerates detector firings in 5% of
- * windows. It needs the AnomalyReport argument of evaluateSlo();
- * without one every window counts as 0 anomalies.
  */
 
 #ifndef NVSIM_OBS_TELEMETRY_SLO_HH
@@ -44,7 +37,6 @@ namespace nvsim::obs
 {
 
 class TelemetryRun;
-struct AnomalyReport;
 
 /** One parsed objective. */
 struct SloObjective
@@ -95,13 +87,8 @@ struct SloResult
     bool pass = true;
 };
 
-/**
- * Evaluate @p spec over every window of @p run. @p anomalies feeds
- * the `anomalies` metric (per-window detector firings); pass nullptr
- * when anomaly detection is off (the metric then reads 0 everywhere).
- */
-SloResult evaluateSlo(const SloSpec &spec, const TelemetryRun &run,
-                      const AnomalyReport *anomalies = nullptr);
+/** Evaluate @p spec over every window of @p run. */
+SloResult evaluateSlo(const SloSpec &spec, const TelemetryRun &run);
 
 /** Render the console report block for one run. */
 std::string sloReport(const std::string &label, const SloResult &r);

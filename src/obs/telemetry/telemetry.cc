@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "core/logging.hh"
-#include "obs/diff/anomaly.hh"
 #include "obs/json.hh"
 
 namespace nvsim::obs
@@ -378,8 +377,7 @@ jsonLatency(std::ostream &os, const LatencySketch &s)
 
 /** One run's JSON object (sans label, which the caller writes). */
 std::string
-jsonChunk(const TelemetryRun &run, const SloResult *slo,
-          const AnomalyReport &anoms)
+jsonChunk(const TelemetryRun &run, const SloResult *slo)
 {
     std::ostringstream os;
     os << "{\"channels\":" << run.numChannels()
@@ -402,8 +400,6 @@ jsonChunk(const TelemetryRun &run, const SloResult *slo,
 
     os << ",\"latency\":";
     jsonLatency(os, run.runSketch());
-
-    os << ",\"anomalies\":" << anoms.json();
 
     if (slo) {
         os << ",\"slo\":{\"pass\":" << (slo->pass ? "true" : "false")
@@ -497,21 +493,16 @@ TelemetrySession::writeFiles(bool from_destructor)
         std::string csv;
         std::string json;
         SloResult slo;
-        AnomalyReport anomalies;
     };
-    AnomalyOptions anomalyOpts;
-    anomalyOpts.z = opts_.anomalyZ;
     std::vector<Rendered> rendered;
     rendered.reserve(runs_.size());
     for (const auto &r : runs_) {
         Rendered out;
         out.run = r.get();
-        out.anomalies = detectAnomalies(*r, anomalyOpts);
         if (!slo_.empty())
-            out.slo = evaluateSlo(slo_, *r, &out.anomalies);
+            out.slo = evaluateSlo(slo_, *r);
         out.csv = csvChunk(*r);
-        out.json = jsonChunk(*r, slo_.empty() ? nullptr : &out.slo,
-                             out.anomalies);
+        out.json = jsonChunk(*r, slo_.empty() ? nullptr : &out.slo);
         rendered.push_back(std::move(out));
     }
     std::sort(rendered.begin(), rendered.end(),
@@ -575,31 +566,6 @@ TelemetrySession::writeFiles(bool from_destructor)
             ofs << "\n]}\n";
             inform("telemetry: wrote JSON to %s",
                    opts_.jsonPath.c_str());
-        }
-    }
-
-    if (!opts_.anomalyJsonPath.empty()) {
-        std::ofstream ofs;
-        if (open(opts_.anomalyJsonPath, ofs)) {
-            ofs << "{\"schema\":\"nvsim-anomaly-v1\",\"z\":"
-                << num(opts_.anomalyZ) << ",\"manifest\":"
-                << opts_.manifest.json(opts_.windowSeconds,
-                                       "nvsim-telemetry-v1")
-                << ",\"runs\":[";
-            for (std::size_t i = 0; i < rendered.size(); ++i) {
-                if (i)
-                    ofs << ',';
-                ofs << "\n{\"label\":\""
-                    << jsonEscape(rendered[i].run->label()) << '"';
-                if (!rendered[i].run->provenance().empty())
-                    ofs << ",\"config\":"
-                        << rendered[i].run->provenance().json();
-                ofs << ",\"anomalies\":"
-                    << rendered[i].anomalies.json() << '}';
-            }
-            ofs << "\n]}\n";
-            inform("telemetry: wrote anomaly report to %s",
-                   opts_.anomalyJsonPath.c_str());
         }
     }
 

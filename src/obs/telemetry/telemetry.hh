@@ -64,14 +64,10 @@ struct TelemetryOptions
     /** Session provenance, embedded in every artifact (manifest.hh). */
     RunManifest manifest;
 
-    std::string anomalyJsonPath;  //!< --anomaly-report= JSON file
-    double anomalyZ = 6.0;        //!< --anomaly-z= robust z threshold
-
     bool
     any() const
     {
-        return !csvPath.empty() || !jsonPath.empty() ||
-               !sloSpec.empty() || !anomalyJsonPath.empty();
+        return !csvPath.empty() || !jsonPath.empty() || !sloSpec.empty();
     }
 };
 

@@ -111,13 +111,6 @@ MemorySystem::attachObserver(obs::Observer *observer)
 
     obs_->setProvenance(configDigest(config_));
 
-    // Wire the set-conflict profiler into every channel's cache (all
-    // channels share one geometry, so one profiler sums across them).
-    obs::SetProfiler *prof =
-        obs_->ensureSetProfiler(channels_[0].cache().numSets());
-    for (auto &ch : channels_)
-        ch.cache().setProfiler(prof);
-
     if (obs::PerfettoTracer *tracer = obs_->tracer()) {
         for (unsigned i = 0; i < numChannels(); ++i) {
             tracer->nameTrack(obs::channelTrack(i),
@@ -226,8 +219,6 @@ MemorySystem::detachObserver()
     // strings while the state is still alive.
     obs_->seal();
     obs_->setDetachHook({});
-    for (auto &ch : channels_)
-        ch.cache().setProfiler(nullptr);
     obs_ = nullptr;
 }
 

@@ -117,11 +117,12 @@ class MemorySystem
      * batch takes an inline path (LLC, translate, route, one device
      * request), a longer one is cut into page/chunk/pool segments. The
      * per-line reference loop runs whenever an observer is attached,
-     * faults/maintenance are enabled, the queued controller is
-     * configured, or batching is disabled via setBatchedAccess() — the
-     * two are bit-identical where they overlap, including the order in
-     * which first-touch page frames are allocated. With the queued
-     * controller the request's analytic service cost becomes a
+     * faults/maintenance are enabled, or batching is disabled via
+     * setBatchedAccess() — the two are bit-identical where they
+     * overlap, including the order in which first-touch page frames
+     * are allocated. The queued controller keeps the batched engine
+     * but takes every line through the one-line path, so each request
+     * gets its own arrival: its analytic service cost becomes a
      * Transaction enqueued at the channel and its latency emerges from
      * queue occupancy at the epoch drain.
      */
@@ -503,8 +504,8 @@ class MemorySystem
     // so it forces the same reference paths fault injection does.
     bool maintEnabled_ = false;
     FaultLog faultLog_;
-    // Cached config_.controller.queued(): forces the reference engine
-    // and routes controller requests through the channel queues.
+    // Cached config_.controller.queued(): routes controller requests
+    // through the channel queues, one line (one arrival) at a time.
     bool queued_ = false;
     double txArrival_ = 0;  //!< next arrival time (epoch seconds)
     std::vector<PendingCausal> txCausal_;  //!< by Transaction::tag

@@ -1,12 +1,10 @@
 /**
  * @file
- * Differential-telemetry and anomaly-detector tests: a self-diff of
- * identical artifacts is empty; an injected counter perturbation is
- * detected, localized to its window/channel, and blamed on the right
- * counter family; manifest mismatches are diagnostics rather than
- * crashes; the EWMA/robust-z detector fires on a seeded step and
- * never on a flat series; and rank diffs over reconstructed sketches
- * are exact at bucket resolution.
+ * Differential-telemetry tests: a self-diff of identical artifacts is
+ * empty; an injected counter perturbation is detected, localized to
+ * its window/channel, and blamed on the right counter family; manifest
+ * mismatches are diagnostics rather than crashes; and rank diffs over
+ * reconstructed sketches are exact at bucket resolution.
  */
 
 #include <gtest/gtest.h>
@@ -18,11 +16,9 @@
 #include <vector>
 
 #include "kernels/kernels.hh"
-#include "obs/diff/anomaly.hh"
 #include "obs/diff/diff.hh"
 #include "obs/diff/teldoc.hh"
 #include "obs/session.hh"
-#include "obs/telemetry/slo.hh"
 #include "sys/memsys.hh"
 
 using namespace nvsim;
@@ -298,101 +294,6 @@ TEST(Sketch, FromSparseRoundTripsExactly)
 }
 
 // --------------------------------------------------------------------
-// Anomaly detection
-
-namespace
-{
-
-std::vector<const TelemetryWindow *>
-pointersTo(const std::vector<TelemetryWindow> &windows)
-{
-    std::vector<const TelemetryWindow *> ptrs;
-    for (const TelemetryWindow &w : windows)
-        ptrs.push_back(&w);
-    return ptrs;
-}
-
-} // namespace
-
-TEST(Anomaly, FlatSeriesNeverFires)
-{
-    std::vector<TelemetryWindow> windows;
-    for (int i = 0; i < 50; ++i)
-        windows.push_back(steadyWindow(i));
-    AnomalyReport report = detectAnomalies(pointersTo(windows), {});
-    EXPECT_TRUE(report.empty());
-}
-
-TEST(Anomaly, SeededStepFiresAtTheStepWindow)
-{
-    // Steady maintenance background, then a targeted-refresh storm
-    // from window 30 on (the RowHammer-mitigation failure mode).
-    std::vector<TelemetryWindow> windows;
-    for (int i = 0; i < 40; ++i) {
-        TelemetryWindow w = steadyWindow(i);
-        if (i >= 30) {
-            w.all[fidx(PerfField::targetedRefreshes)] += 400;
-            w.all[fidx(PerfField::maintenanceStallNs)] += 150000;
-        }
-        windows.push_back(std::move(w));
-    }
-    AnomalyReport report = detectAnomalies(pointersTo(windows), {});
-    ASSERT_FALSE(report.empty());
-    bool storm = false;
-    std::size_t at30 = 0;
-    for (const Anomaly &a : report.anomalies) {
-        EXPECT_GE(a.window, 30);
-        EXPECT_GE(a.z, 6.0);
-        if (a.window == 30)
-            ++at30;
-        if (a.window == 30 && a.metric == "targeted_refreshes_rate")
-            storm = true;
-    }
-    EXPECT_TRUE(storm) << "storm onset not flagged at window 30";
-    EXPECT_EQ(report.countAt(30), at30);
-    EXPECT_EQ(report.countAt(0), 0u);
-    EXPECT_NE(report.json().find("targeted_refreshes_rate"),
-              std::string::npos);
-}
-
-TEST(Anomaly, SloAnomaliesPredicateCountsFirings)
-{
-    SloSpec spec = SloSpec::parse("anomalies<1");
-    ASSERT_EQ(spec.objectives.size(), 1u);
-    EXPECT_EQ(spec.objectives[0].metric, "anomalies");
-
-    // A live run with quiet windows: no firings, objective holds.
-    TelemetryOptions topts;
-    topts.csvPath = "unused.csv";
-    topts.windowSeconds = 1e-3;
-    TelemetryRun run("r", topts);
-    PerfCounters zero;
-    run.prime(&zero, 1);
-    std::uint64_t cum = 0;
-    for (int e = 0; e < 6; ++e) {
-        run.noteLatency(1e-6, 8);
-        cum += 100;
-        PerfCounters c;
-        c.dramRead = cum;
-        run.onEpoch(e * 1e-3, (e + 1) * 1e-3 - 1e-7, 512, &c, 1);
-    }
-    run.finish();
-
-    AnomalyReport quiet = detectAnomalies(run, {});
-    EXPECT_TRUE(quiet.empty());
-    EXPECT_TRUE(evaluateSlo(spec, run, &quiet).pass);
-    EXPECT_TRUE(evaluateSlo(spec, run, nullptr).pass);
-
-    // One fabricated firing makes the objective fail in that window.
-    AnomalyReport noisy = quiet;
-    noisy.anomalies.push_back({2, "eff_gbs", 0.0, 10.0, 9.0});
-    SloResult bad = evaluateSlo(spec, run, &noisy);
-    EXPECT_FALSE(bad.pass);
-    ASSERT_EQ(bad.objectives.size(), 1u);
-    EXPECT_EQ(bad.objectives[0].worstWindow, 2);
-}
-
-// --------------------------------------------------------------------
 // End to end: session JSON -> teldoc -> self-diff
 
 namespace
@@ -453,21 +354,19 @@ TEST(DiffEndToEnd, ExportedArtifactSelfDiffsEmpty)
 
     DiffReport report = diffTelemetry(a, b, {});
     EXPECT_TRUE(report.empty()) << report.text({});
-
-    // The reloaded windows drive the detectors identically to the
-    // in-process run: at minimum, cleanly and deterministically.
-    AnomalyReport r1 = detectAnomalies(pointersTo(a.runs[0].windows), {});
-    AnomalyReport r2 = detectAnomalies(pointersTo(a.runs[0].windows), {});
-    EXPECT_EQ(r1.json(), r2.json());
 }
 
 TEST(DiffEndToEnd, LoadsManifestsWithUnknownKeys)
 {
-    // Documents written before a manifest key was retired still carry
-    // it; the reader ignores keys it does not know and keeps the rest.
+    // Documents written before a key was retired still carry it: a
+    // manifest key, and the per-run "anomalies" list of the retired
+    // online detector. The reader ignores keys it does not know and
+    // keeps the rest, so the edited document self-diffs empty against
+    // the one it was edited from.
     std::string dir = ::testing::TempDir();
     std::string path = dir + "diff_tel_extra_key.json";
     writeSession(path);
+    TelDoc clean = loadTelemetryDoc(path);
     std::stringstream ss;
     ss << std::ifstream(path).rdbuf();
     std::string text = ss.str();
@@ -476,10 +375,24 @@ TEST(DiffEndToEnd, LoadsManifestsWithUnknownKeys)
     std::size_t at = text.find("\"window_s\":", man);
     ASSERT_NE(at, std::string::npos);
     text.insert(at, "\"retired_yardstick\":0.25,");
+    const std::string anomalies =
+        "\"anomalies\":[{\"window\":2,\"metric\":\"eff_gbs\","
+        "\"value\":0,\"expected\":10,\"z\":9}],";
+    std::size_t runs = 0;
+    for (std::size_t pos = text.find("\"windows_dropped\":");
+         pos != std::string::npos;
+         pos = text.find("\"windows_dropped\":",
+                         pos + anomalies.size() + 1)) {
+        text.insert(pos, anomalies);
+        ++runs;
+    }
+    EXPECT_EQ(runs, 2u);
     std::ofstream(path, std::ios::trunc) << text;
 
     TelDoc doc = loadTelemetryDoc(path);
     EXPECT_TRUE(doc.hasManifest);
     EXPECT_EQ(doc.manifest.bench, "test_diff");
     EXPECT_EQ(doc.runs.size(), 2u);
+    DiffReport report = diffTelemetry(clean, doc, {});
+    EXPECT_TRUE(report.empty()) << report.text({});
 }

@@ -2,9 +2,9 @@
  * @file
  * Observability-layer tests: histogram bucket boundaries/overflow/
  * merge, Prometheus name/label handling, registry dump round-trips,
- * the set-conflict profiler, and the end-to-end property the layer
- * exists for — a dirty-miss 2LM workload showing its 4-5 device
- * accesses per store as histogram mass (Table I as a distribution).
+ * and the end-to-end property the layer exists for — a dirty-miss 2LM
+ * workload showing its 4-5 device accesses per store as histogram
+ * mass (Table I as a distribution).
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <sstream>
 
 #include "kernels/kernels.hh"
-#include "obs/heatmap.hh"
 #include "obs/histogram.hh"
 #include "obs/json.hh"
 #include "obs/observer.hh"
@@ -208,43 +207,6 @@ TEST(Json, EscapesControlAndQuoteCharacters)
 }
 
 // --------------------------------------------------------------------
-// Set profiler
-
-TEST(SetProfiler, CountsAndRanksHotSets)
-{
-    obs::SetProfiler p(64);
-    for (int i = 0; i < 10; ++i)
-        p.noteMiss(7);
-    for (int i = 0; i < 6; ++i)
-        p.noteEviction(7);
-    p.noteHit(3);
-    p.noteMiss(3);
-    p.noteMiss(12);
-
-    auto top = p.topSets(2);
-    ASSERT_EQ(top.size(), 2u);
-    EXPECT_EQ(top[0].set, 7u);
-    EXPECT_EQ(top[0].heat(), 16u);
-    EXPECT_EQ(top[1].heat(), 1u);
-
-    std::vector<std::string> rows;
-    p.appendCsvRows("run1", rows);
-    ASSERT_EQ(rows.size(), 3u);  // only touched sets
-    EXPECT_EQ(rows[0], "run1,3,1,1,0");
-    EXPECT_EQ(rows[1], "run1,7,0,10,6");
-}
-
-TEST(SetProfiler, QuotesAwkwardRunLabels)
-{
-    obs::SetProfiler p(4);
-    p.noteHit(0);
-    std::vector<std::string> rows;
-    p.appendCsvRows("4b NT, dirty", rows);
-    ASSERT_EQ(rows.size(), 1u);
-    EXPECT_EQ(rows[0], "\"4b NT, dirty\",0,1,0,0");
-}
-
-// --------------------------------------------------------------------
 // Perfetto export
 
 TEST(Perfetto, EmitsSpansInstantsAndCounters)
@@ -307,7 +269,6 @@ TEST(ObserverEndToEnd, DirtyMissWorkloadShowsTableOneAccessCounts)
     sys.resetCounters();
 
     obs::Observer obs("4b");
-    obs.enableHeatmap();
     sys.attachObserver(&obs);
 
     KernelConfig k;
@@ -341,12 +302,6 @@ TEST(ObserverEndToEnd, DirtyMissWorkloadShowsTableOneAccessCounts)
                                .find("latency_ns");
     ASSERT_NE(lat, nullptr);
     EXPECT_EQ(lat->histogram->count(), h.count());
-
-    // The shared set profiler saw the conflict traffic.
-    ASSERT_NE(obs.setProfiler(), nullptr);
-    auto top = obs.setProfiler()->topSets(1);
-    ASSERT_EQ(top.size(), 1u);
-    EXPECT_GT(top[0].heat(), 0u);
 
     // Registered channel stats agree with the uncore counters.
     sys.detachObserver();
@@ -414,8 +369,6 @@ TEST(ObserverEndToEnd, SessionWritesValidatableFiles)
     opts.statsJsonPath = dir + "obs_stats.json";
     opts.statsPromPath = dir + "obs_stats.prom";
     opts.perfettoPath = dir + "obs_trace.json";
-    opts.heatmapPath = dir + "obs_heat.csv";
-    opts.topSets = 0;  // silence the console report in tests
     {
         obs::Session session(opts);
         for (const char *label : {"run_a", "run_b"}) {
@@ -449,7 +402,4 @@ TEST(ObserverEndToEnd, SessionWritesValidatableFiles)
     std::string trace = slurp(opts.perfettoPath);
     EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(trace.find("run_a"), std::string::npos);
-    std::string heat = slurp(opts.heatmapPath);
-    EXPECT_EQ(heat.rfind("run,set,hits,misses,evictions\n", 0), 0u);
-    EXPECT_NE(heat.find("run_b,"), std::string::npos);
 }

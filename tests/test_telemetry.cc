@@ -336,6 +336,8 @@ TEST(SloDeathTest, RejectsBadSpecs)
 {
     EXPECT_DEATH(obs::SloSpec::parse("p99_ns=1500"), "objective");
     EXPECT_DEATH(obs::SloSpec::parse("bogus_metric<1"), "metric");
+    EXPECT_DEATH(obs::SloSpec::parse("anomalies<1"),
+                 "unknown SLO metric 'anomalies'");
     EXPECT_DEATH(obs::SloSpec::parse("p99_ns<abc"), "");
     EXPECT_DEATH(obs::SloSpec::parse("p99_ns<1@250%"), "");
 }

@@ -4,18 +4,16 @@
  *
  *   nvsim_inspect diff A.json B.json [--threshold=R] [--top=N]
  *                                    [--json[=PATH]] [--force]
- *   nvsim_inspect anomalies RUN.json [--z=Z] [--json[=PATH]]
  *   nvsim_inspect manifest  RUN.json
  *
  * Exit codes (scripted by ci.sh):
- *   0  empty diff / no anomalies / manifest printed
- *   1  differences or anomalies found
+ *   0  empty diff / manifest printed
+ *   1  differences found
  *   2  artifacts incomparable (schema or window geometry mismatch)
  *
  * Everything runs the same deterministic code the in-process engine
  * uses (teldoc reload + obs/diff), so a diff of two identical-seed
- * runs is empty by construction and `anomalies` over a file exactly
- * reproduces the run's own --anomaly-report output.
+ * runs is empty by construction.
  */
 
 #include <cstdio>
@@ -25,10 +23,8 @@
 #include <vector>
 
 #include "core/logging.hh"
-#include "obs/diff/anomaly.hh"
 #include "obs/diff/diff.hh"
 #include "obs/diff/teldoc.hh"
-#include "obs/json.hh"
 
 using namespace nvsim;
 using namespace nvsim::obs;
@@ -55,15 +51,10 @@ usage()
         "(default stdout)\n"
         "      --force          diff window-incomparable artifacts "
         "anyway\n"
-        "  anomalies RUN.json   rerun the online anomaly detectors\n"
-        "      --z=Z            robust z-score threshold (default "
-        "6.0)\n"
-        "      --json[=PATH]    emit nvsim-anomaly-v1 JSON\n"
         "  manifest RUN.json    print the embedded provenance "
         "manifest\n"
         "\n"
-        "exit codes: 0 identical/clean, 1 differences/anomalies, "
-        "2 incomparable\n",
+        "exit codes: 0 identical, 1 differences, 2 incomparable\n",
         stderr);
     std::exit(kExitIncomparable);
 }
@@ -156,63 +147,6 @@ cmdDiff(const std::vector<std::string> &args)
 }
 
 int
-cmdAnomalies(const std::vector<std::string> &args)
-{
-    AnomalyOptions opts;
-    bool wantJson = false;
-    std::string jsonPath, value;
-    std::vector<std::string> paths;
-    for (const std::string &a : args) {
-        if (flagArg(a.c_str(), "--z", &value))
-            opts.z = numberArg(value, "--z");
-        else if (flagArg(a.c_str(), "--json", &value)) {
-            wantJson = true;
-            jsonPath = value;
-        } else if (!a.empty() && a[0] == '-')
-            fatal("nvsim_inspect anomalies: unknown flag '%s'",
-                  a.c_str());
-        else
-            paths.push_back(a);
-    }
-    if (paths.size() != 1)
-        usage();
-
-    TelDoc doc = loadTelemetryDoc(paths[0]);
-    std::size_t total = 0;
-    std::string json = "{\"schema\":\"nvsim-anomaly-v1\",\"z\":" +
-                       strprintf("%.9g", opts.z) + ",\"runs\":[";
-    for (std::size_t i = 0; i < doc.runs.size(); ++i) {
-        const TelRun &run = doc.runs[i];
-        std::vector<const TelemetryWindow *> windows;
-        for (const TelemetryWindow &w : run.windows)
-            windows.push_back(&w);
-        AnomalyReport report = detectAnomalies(windows, opts);
-        total += report.anomalies.size();
-        json += std::string(i ? "," : "") + "\n{\"label\":\"" +
-                jsonEscape(run.label) +
-                "\",\"anomalies\":" + report.json() + '}';
-        if (!wantJson || !jsonPath.empty()) {
-            std::printf("run '%s': %zu anomal%s\n", run.label.c_str(),
-                        report.anomalies.size(),
-                        report.anomalies.size() == 1 ? "y" : "ies");
-            for (const Anomaly &an : report.anomalies) {
-                std::printf(
-                    "  window %lld %s: %s (expected %s, z=%s)\n",
-                    static_cast<long long>(an.window),
-                    an.metric.c_str(),
-                    strprintf("%.9g", an.value).c_str(),
-                    strprintf("%.9g", an.expected).c_str(),
-                    strprintf("%.3g", an.z).c_str());
-            }
-        }
-    }
-    json += "\n]}\n";
-    if (wantJson)
-        writeOut(jsonPath, json);
-    return total == 0 ? kExitEmpty : kExitDifferent;
-}
-
-int
 cmdManifest(const std::vector<std::string> &args)
 {
     if (args.size() != 1 ||
@@ -263,8 +197,6 @@ main(int argc, char **argv)
     std::vector<std::string> args(argv + 2, argv + argc);
     if (sub == "diff")
         return cmdDiff(args);
-    if (sub == "anomalies")
-        return cmdAnomalies(args);
     if (sub == "manifest")
         return cmdManifest(args);
     usage();

@@ -106,18 +106,6 @@ struct CacheResult
     bool tagsInSram = false;
 };
 
-/**
- * What a tag/data corruption dropped from the cache. When the lost
- * line was dirty its latest data existed only in DRAM; the home NVRAM
- * line is now stale and must be treated as poisoned.
- */
-struct TagCorruption
-{
-    bool dropped = false;   //!< a valid line was invalidated
-    bool wasDirty = false;  //!< the dropped line was dirty
-    Addr line = 0;          //!< address of the dropped line
-};
-
 /** Device latencies a policy needs to attribute time per access. */
 struct DeviceLatencies
 {
@@ -145,35 +133,6 @@ class CachePolicy
 
     /** Handle an LLC write (writeback / nontemporal store) to @p addr. */
     virtual CacheResult write(Addr addr) = 0;
-
-    /**
-     * An uncorrectable ECC fault corrupted the DRAM location probed
-     * for @p addr. What that means depends on where the policy keeps
-     * its tags: with tags in the ECC bits the controller cannot trust
-     * the tag and invalidates the way; with SRAM tags only the data
-     * line is lost. Either way the dropped line is reported so the
-     * caller can poison stale NVRAM copies of dirty data.
-     */
-    virtual TagCorruption corruptTag(Addr addr) = 0;
-
-    /**
-     * The patrol-scrub retirement ladder mapped the cache frame that
-     * channel-local byte address @p frame falls in out of service: the
-     * frame's resident line (if any) is dropped and reported so the
-     * caller can write it back or poison it, and the frame never holds
-     * a line again until invalidateAll() (a reboot remapping spare
-     * rows). Policies without per-frame device state may ignore
-     * retirement; the default is a no-op.
-     */
-    virtual TagCorruption
-    retireFrame(Addr frame)
-    {
-        (void)frame;
-        return {};
-    }
-
-    /** Ways currently retired (0 for policies without frame state). */
-    virtual std::uint64_t retiredWays() const { return 0; }
 
     /** Is the line currently resident? (introspection, no side effects) */
     virtual bool resident(Addr addr) const = 0;

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "fault/fault.hh"
 #include "imc/cache_policy.hh"
 #include "imc/counters.hh"
 #include "imc/scheduler.hh"
@@ -56,54 +55,10 @@ struct ChannelParams
     double busBandwidth = 21.3e9;
     /** Concurrent 2LM miss handler entries (MSHR-like). */
     unsigned missHandlerEntries = 24;
-    /** Fault-injection plan (zero rates: behavior-neutral). */
-    FaultConfig fault;
-    /** DRAM self-management (refresh/scrub/RowHammer; all-off default). */
+    /** DRAM refresh (off by default). */
     MaintenanceConfig maintenance;
     /** Queued-controller selection and geometry ("analytic" = off). */
     ControllerConfig controller;
-    /** Index of this channel in the system (fault-stream derivation). */
-    unsigned index = 0;
-};
-
-/**
- * Fault side effects of one request, reported upward so the
- * MemorySystem can track poison at physical addresses and feed the
- * FaultLog. All-zero when no fault fired.
- */
-struct RequestFaults
-{
-    std::uint32_t retries = 0;       //!< retry rounds spent (all causes)
-    std::uint32_t correctable = 0;   //!< correctable errors observed
-    std::uint32_t uncorrectable = 0; //!< uncorrectable errors observed
-    /** The requested line's data was lost (UC media or DRAM error). */
-    bool demandPoisoned = false;
-    /** A different line (writeback victim / dropped dirty line) lost
-     *  its data; its channel-local address is victimLine. */
-    bool victimPoisoned = false;
-    Addr victimLine = 0;
-    /** DRAM ECC faults that corrupted in-ECC 2LM tags. A demand tag
-     *  fault and a scrub-found UE can land in one request, so these
-     *  are counts, not flags. */
-    std::uint32_t tagEccInvalidates = 0;
-    /** Of the uncorrectable errors, how many were 1LM DRAM data
-     *  faults (the rest are NVRAM media). */
-    std::uint32_t dramUncorrectable = 0;
-    /** Frames the scrub retirement ladder mapped out during this
-     *  request; retiredLine is the channel-local frame address of the
-     *  last one. */
-    std::uint32_t linesRetired = 0;
-    Addr retiredLine = 0;
-    /** RowHammer targeted-refresh mitigations fired. */
-    std::uint32_t targetedRefreshes = 0;
-
-    bool
-    any() const
-    {
-        return retries || correctable || uncorrectable ||
-               demandPoisoned || victimPoisoned || tagEccInvalidates ||
-               linesRetired || targetedRefreshes;
-    }
 };
 
 /** One request's timing contribution, returned to the caller. */
@@ -112,7 +67,6 @@ struct AccessResult
     CacheOutcome outcome = CacheOutcome::Uncached;
     DeviceActions actions;
     double latency = 0;  //!< load-to-use seconds for demand reads
-    RequestFaults fault; //!< injected-fault side effects, if any
     /** Per-access blame spans; filled only when MemRequest::traced. */
     CausalBreakdown breakdown;
 };
@@ -139,8 +93,6 @@ struct ChannelEpoch
     DramEpoch dram;
     NvramEpoch nvram;
     std::uint64_t misses = 0;  //!< 2LM miss handler activations
-    /** Targeted-refresh seconds the banks lost this epoch. */
-    double maintTime = 0;
 };
 
 /** A memory channel with its controller logic. */
@@ -149,11 +101,8 @@ class ChannelController
   public:
     ChannelController(const ChannelParams &params, MemoryMode mode);
 
-    /**
-     * Movable (the MemorySystem stores channels in a vector); the
-     * NvramDevice's fault-plan pointer is re-wired on move.
-     */
-    ChannelController(ChannelController &&o) noexcept;
+    /** Movable: the MemorySystem stores channels in a vector. */
+    ChannelController(ChannelController &&) noexcept = default;
     ChannelController &operator=(ChannelController &&) = delete;
     ChannelController(const ChannelController &) = delete;
     ChannelController &operator=(const ChannelController &) = delete;
@@ -168,10 +117,10 @@ class ChannelController
 
     /** @name Batched fast path
      * Lean demand entry points used by MemorySystem::submit() when
-     * no observer is attached and the fault plan is disabled: the same
-     * cache/device state transitions and counter updates as handle(),
-     * with none of the AccessResult, causal-breakdown or fault
-     * plumbing. Each returns the request's demand latency in seconds.
+     * no observer is attached: the same cache/device state transitions
+     * and counter updates as handle(), with none of the AccessResult
+     * or causal-breakdown plumbing. Each returns the request's demand
+     * latency in seconds.
      */
     ///@{
     /** One 64 B request (channel-local, line-aligned address). */
@@ -215,7 +164,7 @@ class ChannelController
      * Epoch barrier: service everything queued, fold the engine's
      * statistics into the perf counters (queueWaitNs, bankConflicts,
      * rowBufferHits, writeDrains) and reset the epoch-relative clock.
-     * Runs on the merging thread, like noteMaintenanceEpoch.
+     * Runs on the merging thread, like noteRefreshEpoch.
      */
     void drainQueues();
 
@@ -240,29 +189,13 @@ class ChannelController
     double epochTime(const ChannelEpoch &epoch) const;
 
     /**
-     * Feed the thermal-throttle automaton one epoch observation: the
-     * epoch's drained traffic and its wall-clock duration. Counts the
-     * epoch as throttled if the DIMM is (still) engaged afterwards.
-     * No-op unless throttling is configured.
+     * Close the refresh epoch: count the REF commands an epoch of
+     * @p dt seconds covers (tREFI accounting) and book their tRFC
+     * into the maintenanceStallNs counter. No-op when refresh is off.
      */
-    ThrottleState::Transition noteEpochDuration(const ChannelEpoch &epoch,
-                                                double dt);
-
-    /** Current NVRAM write-bandwidth throttle multiplier (1.0 = none). */
-    double throttleFactor() const { return throttle_.factor(); }
-    bool throttled() const { return throttle_.engaged(); }
-
-    /**
-     * Close the maintenance epoch: issue the REF commands @p dt covers
-     * (tREFI accounting), advance the RowHammer tREFW window, and book
-     * the epoch's refresh/scrub/targeted-refresh time into the
-     * maintenanceStallNs counter. No-op when maintenance is off.
-     */
-    void noteMaintenanceEpoch(const ChannelEpoch &epoch, double dt);
+    void noteRefreshEpoch(double dt);
 
     const MaintenanceEngine &maintenance() const { return maint_; }
-
-    const FaultPlan &faultPlan() const { return faultPlan_; }
 
     PerfCounters &counters() { return counters_; }
     const PerfCounters &counters() const { return counters_; }
@@ -282,7 +215,7 @@ class ChannelController
 
     /**
      * Register this channel's live stats under @p g: every uncore
-     * counter, derived rates, device totals and throttle state, all as
+     * counter, derived rates and device totals, all as
      * formulas reading the channel (no hot-path cost). The channel
      * must not move afterwards — call only once it sits in its final
      * storage.
@@ -293,26 +226,6 @@ class ChannelController
     AccessResult handle2lm(const MemRequest &req);
     AccessResult handle1lm(const MemRequest &req, MemPool pool);
 
-    /**
-     * Apply a request's DeviceActions to the devices, collecting any
-     * media faults the NVRAM draws into @p result.
-     */
-    void applyActions(const MemRequest &req, const CacheResult &cr,
-                      AccessResult &result);
-
-    /** Account one media-fault outcome against counters and @p result. */
-    void noteMediaFault(const MediaFault &f, AccessResult &result,
-                        bool demand_line, Addr line);
-
-    /**
-     * Per-demand-request maintenance work: feed the RowHammer tracker
-     * the request's DRAM activations (tag probes included), run the
-     * patrol scrubber's cadence tick, walk the ECC escalation ladder on
-     * scrub findings, and charge targeted-refresh time to the request.
-     */
-    void runMaintenance(const MemRequest &req, MemPool pool,
-                        AccessResult &result);
-
     ChannelParams params_;
     MemoryMode mode_;
     DramDevice dram_;
@@ -321,8 +234,6 @@ class ChannelController
     DeviceLatencies lat_;
     PerfCounters counters_;
     std::uint64_t epochMisses_ = 0;
-    FaultPlan faultPlan_;
-    ThrottleState throttle_;
     MaintenanceEngine maint_;
     /** Queue engine; nullptr under the degenerate analytic scheduler. */
     std::unique_ptr<ChannelTxQueue> txq_;

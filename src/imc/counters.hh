@@ -29,11 +29,10 @@ namespace nvsim
 {
 
 /**
- * The full counter set: X(member, snake_name, description). Fault /
- * degradation events (the block from correctableErrors down) are zero
- * on a fault-free machine; the maintenance block (refreshSlots down)
- * is zero while the maintenance subsystem is off; the queue block
- * (queueWaitNs down) is zero unless the queued controller is enabled.
+ * The full counter set: X(member, snake_name, description). The
+ * refresh block (refreshSlots, maintenanceStallNs) is zero while
+ * maintenance.refresh is off; the queue block (queueWaitNs down) is
+ * zero unless the queued controller is enabled.
  */
 #define NVSIM_PERF_COUNTER_FIELDS(X)                                     \
     X(dramRead, dram_read, "CAS.RD: 64 B DRAM reads")                    \
@@ -46,26 +45,12 @@ namespace nvsim
     X(ddoHit, ddo_hit, "writes forwarded without a tag check")           \
     X(llcReads, llc_reads, "demand LLC read requests")                   \
     X(llcWrites, llc_writes, "demand LLC write requests")                \
-    X(correctableErrors, correctable_errors,                             \
-      "recovered media/ECC errors")                                      \
-    X(uncorrectableErrors, uncorrectable_errors, "data-loss events")     \
-    X(tagEccInvalidates, tag_ecc_invalidates,                            \
-      "2LM tags lost to ECC faults")                                     \
-    X(retries, retries, "transient-error retry rounds")                  \
-    X(throttledEpochs, throttled_epochs, "epochs spent write-throttled") \
     X(missBypass, miss_bypass,                                           \
       "misses served from NVRAM without inserting the line")             \
     X(sramTagLookups, sram_tag_lookups,                                  \
       "tag checks answered by controller SRAM (no device read)")         \
     X(refreshSlots, refresh_slots,                                       \
       "REF commands issued (each blocks the banks for tRFC)")            \
-    X(scrubReads, scrub_reads, "patrol-scrub DRAM reads")                \
-    X(scrubCorrected, scrub_corrected,                                   \
-      "correctable errors found and scrubbed in place")                  \
-    X(linesRetired, lines_retired,                                       \
-      "cache frames mapped out by the repeat-CE/UE retirement ladder")   \
-    X(targetedRefreshes, targeted_refreshes,                             \
-      "RowHammer targeted-refresh mitigations fired")                    \
     X(maintenanceStallNs, maintenance_stall_ns,                          \
       "nanoseconds of DRAM bank time lost to maintenance")               \
     X(queueWaitNs, queue_wait_ns,                                        \

@@ -100,15 +100,11 @@ DirectMappedTagEccPolicy::victimWay(std::uint64_t set) const
     const WayIdx base = set * ways_;
     WayIdx victim = kNoWay;
     for (unsigned w = 0; w < ways_; ++w) {
-        // The retired sideband stays unread until a way is retired.
-        if (retiredWays_ && wayRetired_[base + w])
-            continue;
         if (!wayValid(base + w))
             return base + w;
         if (victim == kNoWay || wayLru_[base + w] < wayLru_[victim])
             victim = base + w;
     }
-    // Precondition: !setRetired(set), so one serviceable way exists.
     return victim;
 }
 
@@ -191,7 +187,7 @@ DirectMappedTagEccPolicy::read(Addr addr)
         touchLru(way);
         return result;
     }
-    if (shouldInsert(addr, MemRequestKind::LlcRead) && !setRetired(set))
+    if (shouldInsert(addr, MemRequestKind::LlcRead))
         missHandler(addr, set, tag, result);
     else
         bypassRead(addr, result);
@@ -222,11 +218,9 @@ DirectMappedTagEccPolicy::write(Addr addr)
 
     if (way == kNoWay) {
         if (!params_.insertOnWriteMiss ||
-            !shouldInsert(addr, MemRequestKind::LlcWrite) ||
-            setRetired(set)) {
-            // Write-no-allocate ablation / selective-insert bypass /
-            // fully-retired set: the store lands in NVRAM; the current
-            // occupant (if the set still has one) stays.
+            !shouldInsert(addr, MemRequestKind::LlcWrite)) {
+            // Write-no-allocate ablation / selective-insert bypass:
+            // the store lands in NVRAM; the current occupant stays.
             bypassWrite(addr, result);
             result.bypassed = params_.insertOnWriteMiss;
             return result;
@@ -243,58 +237,6 @@ DirectMappedTagEccPolicy::write(Addr addr)
     markDirty(way);
     touchLru(way);
     return result;
-}
-
-TagCorruption
-DirectMappedTagEccPolicy::corruptTag(Addr addr)
-{
-    std::uint64_t set, tag;
-    splitAddr(addr, set, tag);
-    TagCorruption tc;
-
-    WayIdx way = find(set, tag);
-    if (way == kNoWay) {
-        if (setRetired(set))
-            return tc;  // nothing serviceable left to corrupt
-        way = victimWay(set);
-    }
-    if (!wayValid(way))
-        return tc;
-
-    tc.dropped = true;
-    tc.wasDirty = isDirty(way);
-    tc.line = addrOf(set, tagAt(way));
-    // Keep the DDO tracker consistent: the line is gone, later writes
-    // must not elide their tag check.
-    ddo_->noteEvict(tc.line);
-    clearWay(way);
-    return tc;
-}
-
-TagCorruption
-DirectMappedTagEccPolicy::retireFrame(Addr frame)
-{
-    // The scrubber walks device frames; fold the frame index onto the
-    // way store (for the direct-mapped geometry this is exactly the
-    // set the frame backs).
-    WayIdx idx = lineIndex(frame) % (numSets_ * ways_);
-    TagCorruption tc;
-    if (wayRetired_.empty())
-        wayRetired_.assign(numSets_ * ways_, 0);
-    if (wayRetired_[idx])
-        return tc;
-    if (wayValid(idx)) {
-        tc.dropped = true;
-        tc.wasDirty = isDirty(idx);
-        tc.line = addrOf(idx / ways_, tagAt(idx));
-        // Keep the DDO tracker consistent: the line is gone, later
-        // writes must not elide their tag check.
-        ddo_->noteEvict(tc.line);
-    }
-    clearWay(idx);
-    wayRetired_[idx] = 1;
-    ++retiredWays_;
-    return tc;
 }
 
 bool
@@ -314,11 +256,8 @@ void
 DirectMappedTagEccPolicy::invalidateAll()
 {
     std::fill(wayTag_.begin(), wayTag_.end(), kInvalidWord);
-    // Both fills are no-ops on the arrays that were never allocated.
+    // A no-op for ways == 1, where wayLru_ is never allocated.
     std::fill(wayLru_.begin(), wayLru_.end(), 0);
-    std::fill(wayRetired_.begin(), wayRetired_.end(), 0);
-    // A reboot remaps retired rows onto spares: retirement clears too.
-    retiredWays_ = 0;
     // Recreate the DDO policy so no stale insert knowledge survives.
     ddo_ = DdoPolicy::create(params_.ddo);
 }

@@ -55,28 +55,6 @@ class DirectMappedTagEccPolicy : public CachePolicy
     /** Handle an LLC write (writeback / nontemporal store) to @p addr. */
     CacheResult write(Addr addr) override;
 
-    /** Backward-compatible alias for the namespace-scope type. */
-    using TagCorruption = nvsim::TagCorruption;
-
-    /**
-     * An uncorrectable ECC fault corrupted the in-ECC tag bits of the
-     * DRAM location probed for @p addr: the controller cannot trust
-     * the tag and invalidates the way (the one holding @p addr if
-     * resident, else the way the probe would have replaced). The
-     * caller re-runs the access, which now misses and refetches from
-     * NVRAM — the extra device accesses unique to tags-in-ECC.
-     */
-    TagCorruption corruptTag(Addr addr) override;
-
-    /**
-     * Patrol-scrub retirement: the way backing @p frame is mapped out
-     * (valid line dropped and reported, frame marked unusable). A set
-     * whose every way is retired serves all traffic as NVRAM bypasses.
-     */
-    TagCorruption retireFrame(Addr frame) override;
-
-    std::uint64_t retiredWays() const override { return retiredWays_; }
-
     /** Is the line currently resident? (introspection, no side effects) */
     bool resident(Addr addr) const override;
 
@@ -105,7 +83,7 @@ class DirectMappedTagEccPolicy : public CachePolicy
     /**
      * Handle into the structure-of-arrays line-state store: the flat
      * index set * ways + way, or kNoWay for "not found". Line state
-     * is kept as parallel arrays (tag word, LRU stamp, retired) rather
+     * is kept as parallel arrays (tag word, LRU stamp) rather
      * than an array of per-way structs. The 16-bit tag word carries
      * the whole per-request state: the dirty flag in bit 0 and the tag
      * in bits 1-15, with kInvalidWord (an all-ones tag field, clean)
@@ -122,8 +100,7 @@ class DirectMappedTagEccPolicy : public CachePolicy
      * probe, a hit and a write hit's dirty update all touch one host
      * cache line of dense tag words (32 candidate ways per line). The
      * LRU stamp is read only when choosing a victim among several
-     * valid ways, and the retired sideband only once a way has been
-     * retired.
+     * valid ways.
      */
     using WayIdx = std::uint64_t;
     static constexpr WayIdx kNoWay = ~static_cast<WayIdx>(0);
@@ -194,26 +171,8 @@ class DirectMappedTagEccPolicy : public CachePolicy
     /** Find the way holding @p tag in @p set, or kNoWay. */
     WayIdx find(std::uint64_t set, std::uint64_t tag) const;
 
-    /**
-     * LRU victim among @p set's serviceable ways. Retired ways are
-     * skipped; callers must check setRetired() first (the precondition
-     * is that at least one way is serviceable).
-     */
+    /** LRU victim among @p set's ways (an empty way first). */
     WayIdx victimWay(std::uint64_t set) const;
-
-    /** Every way of @p set is retired (forced-bypass set). */
-    bool
-    setRetired(std::uint64_t set) const
-    {
-        if (retiredWays_ == 0)
-            return false;  // keep the maintenance-off path branch-cheap
-        const std::uint8_t *base = &wayRetired_[set * ways_];
-        for (unsigned w = 0; w < ways_; ++w) {
-            if (!base[w])
-                return false;
-        }
-        return true;
-    }
 
     /**
      * Stamp @p w most-recently-used. A direct-mapped cache has no
@@ -239,17 +198,6 @@ class DirectMappedTagEccPolicy : public CachePolicy
      */
     void renumberLru();
 
-    /** Reset one way's state to empty (all fields, retirement included). */
-    void
-    clearWay(WayIdx w)
-    {
-        wayTag_[w] = kInvalidWord;
-        if (ways_ > 1)
-            wayLru_[w] = 0;
-        if (!wayRetired_.empty())
-            wayRetired_[w] = 0;
-    }
-
     /**
      * Make @p w hold @p tag, clean, stamped most-recently-used, and
      * tell the DDO tracker the line at @p addr is resident. A tag
@@ -271,8 +219,8 @@ class DirectMappedTagEccPolicy : public CachePolicy
     }
 
     /**
-     * Make room in @p set by evicting @p victim (a serviceable way,
-     * from victimWay()): a valid dirty line is written back to NVRAM.
+     * Make room in @p set by evicting @p victim (from victimWay()): a
+     * valid dirty line is written back to NVRAM.
      * Sets @p result's outcome and writeback fields.
      */
     void evict(std::uint64_t set, WayIdx victim, CacheResult &result);
@@ -292,12 +240,9 @@ class DirectMappedTagEccPolicy : public CachePolicy
     std::uint64_t setMask_ = 0;  //!< numSets_ - 1 when a power of two
     // Structure-of-arrays line state, numSets_ * ways_ entries each;
     // see WayIdx for the layout rationale. A direct-mapped cache never
-    // reads a stamp, so wayLru_ stays empty for ways == 1; wayRetired_
-    // stays empty until the first retireFrame().
+    // reads a stamp, so wayLru_ stays empty for ways == 1.
     std::vector<TagWord> wayTag_;
     std::vector<std::uint32_t> wayLru_;
-    std::vector<std::uint8_t> wayRetired_;
-    std::uint64_t retiredWays_ = 0;
     std::uint32_t lruClock_ = 0;
     std::unique_ptr<DdoPolicy> ddo_;
 };

@@ -42,12 +42,6 @@ SramTagSetAssocPolicy::read(Addr addr)
             touchLru(way);
         return result;
     }
-    if (setRetired(set)) {
-        // Every way was mapped out by the scrub retirement ladder:
-        // serve straight from NVRAM without filling.
-        bypassRead(addr, result);
-        return result;
-    }
     fill(addr, set, tag, result);
     result.actions.dramWrites += 1;  // install the fetched line
     return result;
@@ -74,37 +68,12 @@ SramTagSetAssocPolicy::write(Addr addr)
         bypassWrite(addr, result);
         return result;
     }
-    if (setRetired(set)) {
-        // Fully-retired set: the store lands in NVRAM, no fill.
-        bypassWrite(addr, result);
-        result.bypassed = true;
-        return result;
-    }
     // Insert on miss, but — unlike tags-in-ECC — the demand data is
     // merged into the fill: one NVRAM fetch, one DRAM write total.
     WayIdx way = fill(addr, set, tag, result);
     result.actions.dramWrites += 1;
     markDirty(way);
     return result;
-}
-
-TagCorruption
-SramTagSetAssocPolicy::corruptTag(Addr addr)
-{
-    std::uint64_t set, tag;
-    splitAddr(addr, set, tag);
-    TagCorruption tc;
-
-    WayIdx way = find(set, tag);
-    if (way == kNoWay)
-        return tc;  // tags are safe in SRAM; nothing resident was lost
-
-    tc.dropped = true;
-    tc.wasDirty = isDirty(way);
-    tc.line = addrOf(set, tagAt(way));
-    ddo_->noteEvict(tc.line);
-    clearWay(way);
-    return tc;
 }
 
 double

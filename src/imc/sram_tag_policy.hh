@@ -46,14 +46,6 @@ class SramTagSetAssocPolicy : public DirectMappedTagEccPolicy
     CacheResult read(Addr addr) override;
     CacheResult write(Addr addr) override;
 
-    /**
-     * With tags in SRAM an uncorrectable DRAM fault can only take out
-     * the *data* of a resident line — the tag array is unaffected, so
-     * a non-resident probe corrupts nothing the cache still cares
-     * about (no collateral way invalidation, unlike tags-in-ECC).
-     */
-    TagCorruption corruptTag(Addr addr) override;
-
     /** Read hit: DRAM data read. Read miss: NVRAM fetch only (the SRAM
      *  lookup is off the device critical path). Writes post behind the
      *  DRAM (or, bypassing, NVRAM) write accept. */

@@ -55,10 +55,6 @@ accessCauseName(AccessCause cause)
         return "data_read";
       case AccessCause::BypassRead:
         return "bypass_read";
-      case AccessCause::PatrolScrub:
-        return "patrol_scrub";
-      case AccessCause::TargetedRefresh:
-        return "targeted_refresh";
       case AccessCause::QueueWait:
         return "queue_wait";
       case AccessCause::WriteDrain:

@@ -74,7 +74,6 @@ NvramDevice::read(Addr addr, std::uint16_t thread)
         // Buffer miss: the controller reads the whole 256 B media block.
         ++epoch_.mediaReadBlocks;
     }
-    return faultPlan_ ? faultPlan_->nvramRead() : MediaFault{};
 }
 
 MediaFault
@@ -94,7 +93,6 @@ NvramDevice::write(Addr addr, std::uint16_t thread)
         mediaWrite(evicted);
     }
     mergeWpqSlot(slot);
-    return faultPlan_ ? faultPlan_->nvramWrite() : MediaFault{};
 }
 
 bool

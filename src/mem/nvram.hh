@@ -32,10 +32,18 @@
 #include <vector>
 
 #include "core/types.hh"
-#include "fault/fault.hh"
 
 namespace nvsim
 {
+
+/**
+ * Return type of NvramDevice::read() and write(). The device reports
+ * nothing per transaction; the alias keeps the name that the
+ * benchmark's link-time wrappers (perfbench/trace.cc) declare as the
+ * wrapped functions' return type, and their traced() helper has a
+ * void branch for it.
+ */
+using MediaFault = void;
 
 /** Configuration of one Optane DIMM. */
 struct NvramParams
@@ -90,11 +98,7 @@ class NvramDevice
   public:
     explicit NvramDevice(const NvramParams &params);
 
-    /**
-     * 64 B demand read of the line at @p addr by @p thread. Returns
-     * the media-fault outcome drawn from the attached FaultPlan (no
-     * fault when no plan is attached or its rates are zero).
-     */
+    /** 64 B demand read of the line at @p addr by @p thread. */
     MediaFault read(Addr addr, std::uint16_t thread);
 
     /** 64 B demand write of the line at @p addr by @p thread. */
@@ -103,20 +107,12 @@ class NvramDevice
     /** @name Bulk demand runs (batched access fast path)
      * Consecutive-line equivalents of read()/write(): @p lines 64 B
      * transactions starting at @p addr, leaving every buffer, fill
-     * bitmap and counter bit-identical to the per-line loop. Only
-     * valid with no fault plan attached (the per-request fault draw
-     * is what the per-line path exists for).
+     * bitmap and counter bit-identical to the per-line loop.
      */
     ///@{
     void readRun(Addr addr, std::uint64_t lines);
     void writeRun(Addr addr, std::uint64_t lines, std::uint16_t thread);
     ///@}
-
-    /**
-     * Attach the channel's fault plan; media errors are drawn per
-     * demand transaction. The device does not own the plan.
-     */
-    void setFaultPlan(FaultPlan *plan) { faultPlan_ = plan; }
 
     /**
      * Flush all partially merged WPQ blocks to media (end of benchmark /
@@ -189,7 +185,6 @@ class NvramDevice
     NvramParams params_;
     NvramEpoch epoch_;
     NvramEpoch total_;
-    FaultPlan *faultPlan_ = nullptr;  //!< not owned; may be null
 
     BlockLru readBuffer_;
     BlockLru wpq_;

@@ -88,14 +88,12 @@ enum class AccessCause : std::uint8_t {
     DirectAccess,     //!< 1LM access straight to the backing pool
     DataRead,         //!< DRAM data read with the tag answered by SRAM
     BypassRead,       //!< NVRAM read serving a non-inserted miss
-    PatrolScrub,      //!< DRAM read issued by the patrol scrubber
-    TargetedRefresh,  //!< RowHammer mitigation blocking the banks
     QueueWait,        //!< time queued in the controller before issue
     WriteDrain,       //!< time queued behind a WPQ drain burst
     BankConflict,     //!< row-buffer conflict penalty at issue
 };
 
-constexpr unsigned kNumAccessCauses = 14;
+constexpr unsigned kNumAccessCauses = 12;
 
 const char *accessCauseName(AccessCause cause);
 
@@ -110,14 +108,13 @@ struct CauseSpan
 /**
  * Blame tree for one sampled demand request: the ordered list of
  * device accesses it induced. Fixed capacity — the worst case in the
- * model is Table I's dirty LLC write miss at 5 accesses plus a patrol
- * scrub and a targeted refresh riding in the same demand slot, and the
+ * model is Table I's dirty LLC write miss at 5 accesses, and the
  * queued controller can append a wait span and a bank-conflict span on
- * top; 10 leaves headroom without heap traffic on the sampled path.
+ * top; 8 holds that without heap traffic on the sampled path.
  */
 struct CausalBreakdown
 {
-    std::array<CauseSpan, 10> spans;
+    std::array<CauseSpan, 8> spans;
     std::uint8_t count = 0;
 
     void

@@ -208,17 +208,7 @@ counterFamily(std::size_t f)
       case PerfField::missBypass:
       case PerfField::sramTagLookups:
         return "tag";
-      case PerfField::correctableErrors:
-      case PerfField::uncorrectableErrors:
-      case PerfField::tagEccInvalidates:
-      case PerfField::retries:
-      case PerfField::throttledEpochs:
-        return "fault";
       case PerfField::refreshSlots:
-      case PerfField::scrubReads:
-      case PerfField::scrubCorrected:
-      case PerfField::linesRetired:
-      case PerfField::targetedRefreshes:
       case PerfField::maintenanceStallNs:
         return "maintenance";
       case PerfField::queueWaitNs:
@@ -260,26 +250,10 @@ counterCause(std::size_t f)
         return "BypassRead: non-inserted miss service shifted";
       case PerfField::sramTagLookups:
         return "DataRead: SRAM-answered tag checks shifted";
-      case PerfField::correctableErrors:
-      case PerfField::uncorrectableErrors:
-      case PerfField::tagEccInvalidates:
-        return "media/ECC fault rate changed";
-      case PerfField::retries:
-        return "transient-error retries changed";
-      case PerfField::throttledEpochs:
-        return "write-throttle engagement changed";
       case PerfField::refreshSlots:
         return "REF cadence changed (tRFC bank blocking)";
-      case PerfField::scrubReads:
-      case PerfField::scrubCorrected:
-        return "PatrolScrub: patrol-scrub interference changed";
-      case PerfField::linesRetired:
-        return "frame-retirement ladder activity changed";
-      case PerfField::targetedRefreshes:
-        return "TargetedRefresh: RowHammer mitigation storm";
       case PerfField::maintenanceStallNs:
-        return "maintenance bank-time stall changed (see refresh/"
-               "scrub/TargetedRefresh counters)";
+        return "refresh bank-time stall changed (see refresh_slots)";
       case PerfField::queueWaitNs:
         return "QueueWait: controller queue occupancy changed";
       case PerfField::bankConflicts:

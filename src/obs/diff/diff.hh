@@ -21,10 +21,10 @@
  *    rank delta of zero means the distributions agree to bucket
  *    resolution (< 1/128 relative), not that two floats were close.
  *  - The ranked "what changed" summary aggregates counter deltas into
- *    the counter families (demand / dram / nvram / tag / fault /
- *    maintenance) and maps the dominant counter back to the
- *    AccessCause taxonomy: a targeted_refreshes storm *explains* a
- *    maintenance_stall_ns delta.
+ *    the counter families (demand / dram / nvram / tag / maintenance /
+ *    queue) and maps the dominant counter back to the AccessCause
+ *    taxonomy: a refresh_slots rise *explains* a maintenance_stall_ns
+ *    delta.
  *
  * Identical inputs produce an empty report; everything is rendered
  * with the deterministic %.9g convention, so diff output is
@@ -87,7 +87,7 @@ struct RankDiff
 /** Family-level attribution: what changed, and what explains it. */
 struct FamilyDelta
 {
-    std::string family;    //!< demand/dram/nvram/tag/fault/maintenance
+    std::string family;    //!< demand/dram/nvram/tag/maintenance/queue
     double score = 0;      //!< largest run-total relative delta
     std::string dominant;  //!< counter with that delta
     double dominantA = 0;

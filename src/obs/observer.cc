@@ -136,21 +136,11 @@ Observer::noteEpoch(const EpochSample &s)
                      static_cast<double>(d.nvramRead) * line_gbs);
     tracer_->counter("nvram_write_GBps", s.t1,
                      static_cast<double>(d.nvramWrite) * line_gbs);
-    if (s.maintenance) {
-        // Maintenance tracks are only emitted on epochs that saw
-        // maintenance activity, so traces of maintenance-off runs are
-        // unchanged and the counter tracks stay sparse.
+    if (s.refresh) {
+        // Refresh tracks are only emitted with refresh on, so traces of
+        // refresh-off runs are unchanged.
         tracer_->counter("refresh_slots_per_s", s.t1,
                          static_cast<double>(d.refreshSlots) / dt);
-        tracer_->counter("scrub_read_GBps", s.t1,
-                         static_cast<double>(d.scrubReads) * line_gbs);
-        tracer_->counter("scrub_corrected_per_s", s.t1,
-                         static_cast<double>(d.scrubCorrected) / dt);
-        tracer_->counter("lines_retired_per_s", s.t1,
-                         static_cast<double>(d.linesRetired) / dt);
-        tracer_->counter(
-            "targeted_refreshes_per_s", s.t1,
-            static_cast<double>(d.targetedRefreshes) / dt);
         tracer_->counter(
             "maintenance_duty", s.t1,
             static_cast<double>(d.maintenanceStallNs) * 1e-9 / dt);
@@ -164,32 +154,6 @@ Observer::noteDma(double t0, double t1, std::uint64_t bytes)
         return;
     tracer_->span(Track::Dma, "dma copy", t0, t1,
                   {{"bytes", static_cast<double>(bytes)}});
-}
-
-void
-Observer::noteThrottle(double t, unsigned channel, bool engaged)
-{
-    if (!tracer_)
-        return;
-    tracer_->instant(channelTrack(channel),
-                     engaged ? "throttle engaged" : "throttle released",
-                     t);
-}
-
-void
-Observer::noteChannelOffline(double t, unsigned channel)
-{
-    if (!tracer_)
-        return;
-    tracer_->instant(channelTrack(channel), "channel offlined", t);
-}
-
-void
-Observer::noteMaintenance(double t, unsigned channel, const char *event)
-{
-    if (!tracer_)
-        return;
-    tracer_->instant(channelTrack(channel), event, t);
 }
 
 void

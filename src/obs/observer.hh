@@ -10,13 +10,12 @@
  *
  *  - a hierarchical stats Registry (obs/stats.hh) the system's
  *    components register into (LLC, per-channel IMC counters, DRAM
- *    cache, DRAM/NVRAM devices, fault log);
+ *    cache, DRAM/NVRAM devices);
  *  - per-request latency and device-access-count histograms keyed by
  *    outcome class (tag hit / clean miss / dirty miss / DDO write /
  *    uncached) — Table I as a distribution instead of a mean;
  *  - optional Chrome-trace/Perfetto events: epoch and kernel spans,
- *    DMA transfers, throttle and channel-offline instants
- *    (obs/perfetto.hh).
+ *    DMA transfers (obs/perfetto.hh).
  *
  * Lifecycle: one Observer per observed run. The registry's formula
  * stats read live component state, so the owner must seal() (render)
@@ -52,8 +51,8 @@ struct EpochSample
     double t0 = 0;  //!< epoch start (simulated seconds)
     double t1 = 0;  //!< epoch end
     std::uint64_t demandBytes = 0;
-    /** Any maintenance activity (refresh/scrub/...) this epoch. */
-    bool maintenance = false;
+    /** DRAM refresh is on (its counter tracks are emitted). */
+    bool refresh = false;
     /** System-wide counter deltas over the epoch. */
     PerfCounters delta;
 };
@@ -127,10 +126,6 @@ class Observer
 
     void noteEpoch(const EpochSample &sample);
     void noteDma(double t0, double t1, std::uint64_t bytes);
-    void noteThrottle(double t, unsigned channel, bool engaged);
-    void noteChannelOffline(double t, unsigned channel);
-    /** A maintenance event (line retirement, targeted refresh) fired. */
-    void noteMaintenance(double t, unsigned channel, const char *event);
 
     /** A named workload span (microbench kernel, DNN op). */
     void kernelSpan(const std::string &name, double t0, double t1);

@@ -45,17 +45,6 @@ PerfettoTracer::span(Track track, const std::string &name, double t0_s,
 }
 
 void
-PerfettoTracer::instant(Track track, const std::string &name, double t_s)
-{
-    double b = timeBase_ + t_s;
-    note(b);
-    if (!admit())
-        return;
-    events_.push_back({'i', static_cast<std::uint32_t>(track), name,
-                       b * kUsPerSecond, 0, {}});
-}
-
-void
 PerfettoTracer::counter(const std::string &name, double t_s, double value)
 {
     double b = timeBase_ + t_s;
@@ -142,8 +131,6 @@ PerfettoTracer::writeJson(std::ostream &out) const
         json.field("ts", e.ts_us);
         if (e.phase == 'X')
             json.field("dur", e.dur_us);
-        if (e.phase == 'i')
-            json.field("s", "t");
         if (e.phase == 's' || e.phase == 't' || e.phase == 'f') {
             json.field("cat", "causal");
             json.field("id", e.flowId);

@@ -6,9 +6,8 @@
  * `{"traceEvents":[...]}` document that loads directly in
  * https://ui.perfetto.dev (or chrome://tracing). Tracks are modelled
  * as threads of one process: fixed tracks for runs, epochs, kernel
- * spans and DMA transfers, plus one track per memory channel for
- * throttle and offline instants. Timestamps are simulated
- * microseconds.
+ * spans, DMA transfers and sampled causal requests. Timestamps are
+ * simulated microseconds.
  */
 
 #ifndef NVSIM_OBS_PERFETTO_HH
@@ -31,7 +30,6 @@ enum class Track : std::uint32_t {
     Dma = 3,      //!< DMA engine transfers
     CausalDemand = 4,   //!< sampled demand-request spans (obs/causal)
     CausalDevices = 5,  //!< induced device-access spans (obs/causal)
-    Channel0 = 16,  //!< per-channel instants: Channel0 + channel index
 };
 
 /** In-memory collector for Chrome trace events. */
@@ -39,7 +37,7 @@ class PerfettoTracer
 {
   public:
     /**
-     * Event cap: a span/instant beyond this is counted as dropped
+     * Event cap: an event beyond this is counted as dropped
      * instead of stored, bounding memory on pathological runs.
      */
     static constexpr std::size_t kMaxEvents = 1u << 20;
@@ -48,9 +46,6 @@ class PerfettoTracer
     void span(Track track, const std::string &name, double t0_s,
               double t1_s,
               std::vector<std::pair<std::string, double>> args = {});
-
-    /** Thread-scoped instant ("i"). */
-    void instant(Track track, const std::string &name, double t_s);
 
     /** Counter sample ("C"): one series named @p name. */
     void counter(const std::string &name, double t_s, double value);
@@ -97,7 +92,7 @@ class PerfettoTracer
   private:
     struct Event
     {
-        char phase;  //!< 'X', 'i', 'C', 's', 't', 'f'
+        char phase;  //!< 'X', 'C', 's', 't', 'f'
         std::uint32_t tid;
         std::string name;
         double ts_us;
@@ -116,14 +111,6 @@ class PerfettoTracer
     double timeBase_ = 0;
     double horizon_ = 0;
 };
-
-/** Track of memory channel @p index. */
-inline Track
-channelTrack(unsigned index)
-{
-    return static_cast<Track>(
-        static_cast<std::uint32_t>(Track::Channel0) + index);
-}
 
 } // namespace nvsim::obs
 

@@ -114,6 +114,7 @@ SloResult
 evaluateSlo(const SloSpec &spec, const TelemetryRun &run)
 {
     SloResult result;
+    result.evicted = run.windowsDropped();
     for (const SloObjective &o : spec.objectives) {
         SloObjectiveResult r;
         r.spec = o.spec;
@@ -144,6 +145,10 @@ evaluateSlo(const SloSpec &spec, const TelemetryRun &run)
             // An epsilon absorbs FP noise in the 100 * m/n division.
             r.pass = share >= o.budgetPct - 1e-9;
         }
+        // The ring holds only the newest windows: a verdict on them
+        // says nothing about the evicted head of the run.
+        if (result.evicted > 0)
+            r.pass = false;
         result.pass = result.pass && r.pass;
         result.objectives.push_back(std::move(r));
     }
@@ -159,17 +164,21 @@ sloReport(const std::string &label, const SloResult &r)
         os << "  " << (o.pass ? "PASS" : "FAIL") << ' ' << o.spec
            << " : ";
         if (o.eligible == 0) {
-            os << "no eligible windows (vacuous)\n";
-            continue;
+            os << "no eligible windows (vacuous)";
+        } else {
+            double share = 100.0 * static_cast<double>(o.compliant) /
+                           static_cast<double>(o.eligible);
+            os << strprintf("%.1f%%", share) << " of " << o.eligible
+               << " windows compliant";
+            if (o.compliant != o.eligible) {
+                os << strprintf(" (worst %.6g @ window %lld)",
+                                o.worstValue,
+                                static_cast<long long>(o.worstWindow));
+            }
         }
-        double share = 100.0 * static_cast<double>(o.compliant) /
-                       static_cast<double>(o.eligible);
-        os << strprintf("%.1f%%", share) << " of " << o.eligible
-           << " windows compliant";
-        if (o.compliant != o.eligible) {
-            os << strprintf(" (worst %.6g @ window %lld)",
-                            o.worstValue,
-                            static_cast<long long>(o.worstWindow));
+        if (r.evicted > 0) {
+            os << "; " << r.evicted
+               << " windows evicted, raise --telemetry-ring=";
         }
         os << '\n';
     }

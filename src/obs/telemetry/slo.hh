@@ -23,7 +23,9 @@
  * An objective is evaluated per window over the windows where the
  * metric applies (a latency percentile needs at least one request in
  * the window); it passes when compliant/eligible >= budget. A run with
- * no eligible windows passes vacuously (reported as such).
+ * no eligible windows passes vacuously (reported as such). A run whose
+ * telemetry ring evicted windows fails every objective: the verdict
+ * would cover only the tail of the run (raise --telemetry-ring=).
  */
 
 #ifndef NVSIM_OBS_TELEMETRY_SLO_HH
@@ -84,6 +86,8 @@ struct SloObjectiveResult
 struct SloResult
 {
     std::vector<SloObjectiveResult> objectives;
+    /** Windows the run's ring evicted; nonzero fails every objective. */
+    std::uint64_t evicted = 0;
     bool pass = true;
 };
 

@@ -30,7 +30,6 @@ SystemConfig::channelParams() const
     p.busBandwidth = busBandwidth;
     p.missHandlerEntries = missHandlerEntries;
     p.policy = policy;
-    p.fault = fault;  // the caller sets p.index per channel
     p.maintenance = maintenance;
     p.controller = controller;
 
@@ -96,19 +95,8 @@ SystemConfig::validate() const
     if (epochBytes < kLineSize)
         fatal("epochBytes must cover at least one line");
     policy.validate();
-    fault.validate();
     maintenance.validate();
     controller.validate();
-    if (maintenance.scrub.enabled() &&
-        maintenance.scrub.retireCapacity >
-            scaledDramPerDimm() / kLineSize) {
-        fatal("maintenance scrub retirement capacity %llu exceeds the "
-              "%llu cache lines of a scaled DRAM DIMM",
-              static_cast<unsigned long long>(
-                  maintenance.scrub.retireCapacity),
-              static_cast<unsigned long long>(scaledDramPerDimm() /
-                                              kLineSize));
-    }
 }
 
 } // namespace nvsim

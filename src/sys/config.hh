@@ -43,17 +43,9 @@ struct SystemConfig
     NvramParams nvram;
 
     /**
-     * Fault-injection and degradation plan (media errors, DRAM/tag ECC
-     * faults, thermal throttling). All rates default to zero, which is
-     * behavior-neutral: no RNG draws, no timing change, bit-identical
-     * output to a build without the fault subsystem.
-     */
-    FaultConfig fault;
-
-    /**
-     * DRAM self-management (refresh, patrol scrub, RowHammer
-     * mitigation). All-off by default, which is behavior-neutral: no
-     * RNG draws, no timing change, bit-identical output.
+     * DRAM refresh (JSON block `maintenance.refresh`). Off by default,
+     * which is behavior-neutral: no timing change, bit-identical
+     * output.
      */
     MaintenanceConfig maintenance;
 

@@ -188,38 +188,6 @@ parseDdo(const JsonValue &v, DdoConfig &p)
 }
 
 void
-parseThrottle(const JsonValue &v, ThrottleConfig &p)
-{
-    KeyChecker k(v, "fault.throttle");
-    setDouble(k.get("engage_bandwidth"), p.engageBandwidth);
-    setDouble(k.get("release_bandwidth"), p.releaseBandwidth);
-    setUnsigned(k.get("engage_epochs"), p.engageEpochs);
-    setUnsigned(k.get("release_epochs"), p.releaseEpochs);
-    setDouble(k.get("factor"), p.factor);
-    k.finish();
-}
-
-void
-parseFault(const JsonValue &v, FaultConfig &p)
-{
-    KeyChecker k(v, "fault");
-    setU64(k.get("seed"), p.seed);
-    setDouble(k.get("nvram_read_correctable"), p.nvramReadCorrectable);
-    setDouble(k.get("nvram_read_uncorrectable"),
-              p.nvramReadUncorrectable);
-    setDouble(k.get("nvram_write_correctable"), p.nvramWriteCorrectable);
-    setDouble(k.get("nvram_write_uncorrectable"),
-              p.nvramWriteUncorrectable);
-    setDouble(k.get("dram_correctable"), p.dramCorrectable);
-    setDouble(k.get("tag_ecc_uncorrectable"), p.tagEccUncorrectable);
-    setUnsigned(k.get("max_retries"), p.maxRetries);
-    setDouble(k.get("retry_latency"), p.retryLatency);
-    if (const JsonValue *t = k.get("throttle"))
-        parseThrottle(*t, p.throttle);
-    k.finish();
-}
-
-void
 parseRefresh(const JsonValue &v, RefreshConfig &p)
 {
     KeyChecker k(v, "maintenance.refresh");
@@ -229,41 +197,11 @@ parseRefresh(const JsonValue &v, RefreshConfig &p)
 }
 
 void
-parseScrub(const JsonValue &v, ScrubConfig &p)
-{
-    KeyChecker k(v, "maintenance.scrub");
-    setDouble(k.get("interval"), p.interval);
-    setDouble(k.get("correctable"), p.correctable);
-    setDouble(k.get("uncorrectable"), p.uncorrectable);
-    setUnsigned(k.get("retire_threshold"), p.retireThreshold);
-    setU64(k.get("retire_capacity"), p.retireCapacity);
-    k.finish();
-}
-
-void
-parseRowHammer(const JsonValue &v, RowHammerConfig &p)
-{
-    KeyChecker k(v, "maintenance.rowhammer");
-    setU64(k.get("threshold"), p.threshold);
-    setU32(k.get("tracker_entries"), p.trackerEntries);
-    setU64(k.get("row_bytes"), p.rowBytes);
-    setUnsigned(k.get("blast_radius"), p.blastRadius);
-    setDouble(k.get("refresh_latency"), p.refreshLatency);
-    setDouble(k.get("window"), p.window);
-    k.finish();
-}
-
-void
 parseMaintenance(const JsonValue &v, MaintenanceConfig &p)
 {
     KeyChecker k(v, "maintenance");
-    setU64(k.get("seed"), p.seed);
     if (const JsonValue *r = k.get("refresh"))
         parseRefresh(*r, p.refresh);
-    if (const JsonValue *s = k.get("scrub"))
-        parseScrub(*s, p.scrub);
-    if (const JsonValue *rh = k.get("rowhammer"))
-        parseRowHammer(*rh, p.rowhammer);
     k.finish();
 }
 
@@ -308,8 +246,6 @@ configFromRoot(const JsonValue &root)
         parseDram(*v, c.dram);
     if (const JsonValue *v = k.get("nvram"))
         parseNvram(*v, c.nvram);
-    if (const JsonValue *v = k.get("fault"))
-        parseFault(*v, c.fault);
     if (const JsonValue *v = k.get("maintenance"))
         parseMaintenance(*v, c.maintenance);
     if (const JsonValue *v = k.get("controller"))
@@ -392,50 +328,10 @@ SystemConfig::toJson() const
             std::uint64_t(nvram.writeContentionKnee));
     w.endObject();
 
-    w.beginObject("fault");
-    w.field("seed", std::uint64_t(fault.seed));
-    w.field("nvram_read_correctable", fault.nvramReadCorrectable);
-    w.field("nvram_read_uncorrectable", fault.nvramReadUncorrectable);
-    w.field("nvram_write_correctable", fault.nvramWriteCorrectable);
-    w.field("nvram_write_uncorrectable", fault.nvramWriteUncorrectable);
-    w.field("dram_correctable", fault.dramCorrectable);
-    w.field("tag_ecc_uncorrectable", fault.tagEccUncorrectable);
-    w.field("max_retries", std::uint64_t(fault.maxRetries));
-    w.field("retry_latency", fault.retryLatency);
-    w.beginObject("throttle");
-    w.field("engage_bandwidth", fault.throttle.engageBandwidth);
-    w.field("release_bandwidth", fault.throttle.releaseBandwidth);
-    w.field("engage_epochs", std::uint64_t(fault.throttle.engageEpochs));
-    w.field("release_epochs",
-            std::uint64_t(fault.throttle.releaseEpochs));
-    w.field("factor", fault.throttle.factor);
-    w.endObject();
-    w.endObject();
-
     w.beginObject("maintenance");
-    w.field("seed", std::uint64_t(maintenance.seed));
     w.beginObject("refresh");
     w.field("trefi", maintenance.refresh.trefi);
     w.field("trfc", maintenance.refresh.trfc);
-    w.endObject();
-    w.beginObject("scrub");
-    w.field("interval", maintenance.scrub.interval);
-    w.field("correctable", maintenance.scrub.correctable);
-    w.field("uncorrectable", maintenance.scrub.uncorrectable);
-    w.field("retire_threshold",
-            std::uint64_t(maintenance.scrub.retireThreshold));
-    w.field("retire_capacity",
-            std::uint64_t(maintenance.scrub.retireCapacity));
-    w.endObject();
-    w.beginObject("rowhammer");
-    w.field("threshold", std::uint64_t(maintenance.rowhammer.threshold));
-    w.field("tracker_entries",
-            std::uint64_t(maintenance.rowhammer.trackerEntries));
-    w.field("row_bytes", std::uint64_t(maintenance.rowhammer.rowBytes));
-    w.field("blast_radius",
-            std::uint64_t(maintenance.rowhammer.blastRadius));
-    w.field("refresh_latency", maintenance.rowhammer.refreshLatency);
-    w.field("window", maintenance.rowhammer.window);
     w.endObject();
     w.endObject();
 

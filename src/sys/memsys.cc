@@ -38,17 +38,11 @@ MemorySystem::MemorySystem(const SystemConfig &config)
       batched_(g_batched_default)
 {
     config_.validate();
-    faultEnabled_ = config_.fault.enabled();
-    maintEnabled_ = config_.maintenance.enabled();
-    ChannelParams cp = config_.channelParams();
+    const ChannelParams cp = config_.channelParams();
     channels_.reserve(config_.totalChannels());
-    online_.reserve(config_.totalChannels());
-    for (unsigned i = 0; i < config_.totalChannels(); ++i) {
-        cp.index = i;
+    for (unsigned i = 0; i < config_.totalChannels(); ++i)
         channels_.emplace_back(cp, config_.mode);
-        online_.push_back(i);
-    }
-    imap_.rebuild(config_.interleaveGranularity, online_.size());
+    imap_.build(config_.interleaveGranularity, channels_.size());
 
     queued_ = config_.controller.queued();
     if (queued_) {
@@ -111,13 +105,6 @@ MemorySystem::attachObserver(obs::Observer *observer)
 
     obs_->setProvenance(configDigest(config_));
 
-    if (obs::PerfettoTracer *tracer = obs_->tracer()) {
-        for (unsigned i = 0; i < numChannels(); ++i) {
-            tracer->nameTrack(obs::channelTrack(i),
-                              "channel " + std::to_string(i));
-        }
-    }
-
     // If the observer dies first, it must unwire our pointers to it.
     obs_->setDetachHook([this] { detachObserver(); });
 
@@ -130,10 +117,6 @@ MemorySystem::attachObserver(obs::Observer *observer)
                 [this] { return now_; });
     sys.formula("active_threads", "current demand-model thread count",
                 [this] { return static_cast<double>(activeThreads_); });
-    sys.formula("online_channels", "channels still in the interleave",
-                [this] { return static_cast<double>(online_.size()); });
-    sys.formula("poisoned_lines", "lines currently carrying poison",
-                [this] { return static_cast<double>(poisoned_.size()); });
     sys.formula("nvram_write_amplification",
                 "media bytes written per demand byte, all DIMMs",
                 [this] { return nvramWriteAmplification(); });
@@ -164,50 +147,6 @@ MemorySystem::attachObserver(obs::Observer *observer)
         imc.label("channel", std::to_string(i));
         channels_[i].regStats(imc);
     }
-
-    // The FaultLog lives below the obs layer in the link order, so its
-    // stats are registered here rather than by the fault module.
-    obs::Group &fault = root.child("fault");
-    fault.formula("correctable", "recovered media/ECC errors",
-                  [this] {
-                      return static_cast<double>(faultLog_.correctable());
-                  });
-    fault.formula("uncorrectable", "uncorrectable media errors", [this] {
-        return static_cast<double>(faultLog_.uncorrectable());
-    });
-    fault.formula("tag_ecc_invalidates", "2LM tags lost to ECC faults",
-                  [this] {
-                      return static_cast<double>(
-                          faultLog_.tagEccInvalidates());
-                  });
-    fault.formula("machine_checks", "poisoned lines consumed by loads",
-                  [this] {
-                      return static_cast<double>(
-                          faultLog_.machineChecks());
-                  });
-    fault.formula("poison_created", "lines newly poisoned", [this] {
-        return static_cast<double>(faultLog_.poisonCreated());
-    });
-    fault.formula("poison_propagated", "poison spread by DMA copies",
-                  [this] {
-                      return static_cast<double>(
-                          faultLog_.poisonPropagated());
-                  });
-    fault.formula("poison_cleared", "poisoned lines overwritten/retired",
-                  [this] {
-                      return static_cast<double>(
-                          faultLog_.poisonCleared());
-                  });
-    fault.formula("lines_retired",
-                  "DRAM frames mapped out by patrol scrub", [this] {
-                      return static_cast<double>(
-                          faultLog_.count(FaultEventKind::LineRetired));
-                  });
-    fault.formula("targeted_refreshes",
-                  "RowHammer targeted-refresh mitigations", [this] {
-                      return static_cast<double>(faultLog_.count(
-                          FaultEventKind::TargetedRefresh));
-                  });
 }
 
 void
@@ -338,112 +277,7 @@ MemorySystem::poolOf(Addr addr) const
 unsigned
 MemorySystem::channelOf(Addr addr) const
 {
-    // Interleave over the *online* channels; with none offlined this
-    // is the identity permutation over all channels.
-    return online_[imap_.pos(addr)];
-}
-
-Addr
-MemorySystem::physOfLocal(unsigned ch, Addr local) const
-{
-    // Inverse of the local-address compaction in issueToImc(): which
-    // position in the online interleave order does channel ch hold?
-    Bytes gran = config_.interleaveGranularity;
-    Addr chunk = local / gran;
-    std::size_t pos = 0;
-    for (std::size_t i = 0; i < online_.size(); ++i) {
-        if (online_[i] == ch) {
-            pos = i;
-            break;
-        }
-    }
-    return chunk * gran * online_.size() + pos * gran + local % gran;
-}
-
-void
-MemorySystem::addPoison(Addr phys_line, bool propagated)
-{
-    if (poisoned_.insert(phys_line).second) {
-        if (propagated)
-            faultLog_.notePoisonPropagated();
-        else
-            faultLog_.notePoisonCreated();
-    }
-}
-
-void
-MemorySystem::clearPoison(Addr phys_line)
-{
-    if (poisoned_.erase(phys_line))
-        faultLog_.notePoisonCleared();
-}
-
-bool
-MemorySystem::isPoisoned(Addr addr)
-{
-    if (!faultEnabled_ && !maintEnabled_)
-        return false;
-    return poisoned_.count(lineBase(translate(addr))) != 0;
-}
-
-void
-MemorySystem::noteRequestFaults(const RequestFaults &f,
-                                MemRequestKind kind, Addr phys,
-                                unsigned ch, bool charge_demand)
-{
-    for (std::uint32_t i = 0; i < f.correctable; ++i)
-        faultLog_.record(now_, ch, FaultEventKind::CorrectableMedia,
-                         phys);
-    for (std::uint32_t i = 0; i < f.tagEccInvalidates; ++i)
-        faultLog_.record(now_, ch, FaultEventKind::TagEccInvalidate,
-                         phys);
-    // Classify the uncorrectable count: tag-ECC invalidates (recorded
-    // above) and 1LM DRAM data faults account for some; the remainder
-    // are NVRAM media errors.
-    std::uint32_t media_uc = f.uncorrectable;
-    media_uc -= std::min(f.tagEccInvalidates, media_uc);
-    std::uint32_t dram_uc = std::min(f.dramUncorrectable, media_uc);
-    media_uc -= dram_uc;
-    for (std::uint32_t i = 0; i < dram_uc; ++i)
-        faultLog_.record(now_, ch, FaultEventKind::DramUncorrectable,
-                         phys);
-    for (std::uint32_t i = 0; i < media_uc; ++i)
-        faultLog_.record(now_, ch, FaultEventKind::UncorrectableMedia,
-                         phys);
-
-    for (std::uint32_t i = 0; i < f.linesRetired; ++i) {
-        faultLog_.record(now_, ch, FaultEventKind::LineRetired,
-                         physOfLocal(ch, lineBase(f.retiredLine)));
-    }
-    for (std::uint32_t i = 0; i < f.targetedRefreshes; ++i)
-        faultLog_.record(now_, ch, FaultEventKind::TargetedRefresh, phys);
-    if (obs_ && (f.linesRetired || f.targetedRefreshes)) {
-        if (f.linesRetired)
-            obs_->noteMaintenance(now_, ch, "scrub line retired");
-        if (f.targetedRefreshes)
-            obs_->noteMaintenance(now_, ch, "targeted refresh");
-    }
-
-    if (f.victimPoisoned) {
-        // A dirty line's only copy was lost (writeback UC error or a
-        // tag-ECC invalidate of a dirty line): poison its home line.
-        addPoison(physOfLocal(ch, lineBase(f.victimLine)),
-                  /*propagated=*/false);
-    }
-
-    if (f.demandPoisoned) {
-        if (kind == MemRequestKind::LlcRead && charge_demand) {
-            // The core consumes the poisoned fill: machine check now.
-            // Graceful degradation: the OS retires/refreshes the line,
-            // so it does not stay poisoned.
-            faultLog_.record(now_, ch, FaultEventKind::PoisonConsumed,
-                             phys);
-        } else {
-            // DMA read or write-path loss: the line stays poisoned
-            // until overwritten or consumed.
-            addPoison(phys, /*propagated=*/false);
-        }
-    }
+    return imap_.channel(addr);
 }
 
 void
@@ -459,22 +293,7 @@ MemorySystem::issueToImc(MemRequestKind kind, Addr line_addr,
     // array uses every set.
     Addr phys = translate(line_addr);
     Addr local;
-    unsigned ch_idx = online_[imap_.route(phys, local)];
-
-    if ((faultEnabled_ || maintEnabled_) && !poisoned_.empty()) {
-        if (kind == MemRequestKind::LlcRead) {
-            if (charge_demand && poisoned_.count(phys)) {
-                // Demand load of a poisoned line: machine check; the
-                // OS recovers the page (graceful degradation).
-                faultLog_.record(now_, ch_idx,
-                                 FaultEventKind::PoisonConsumed, phys);
-                clearPoison(phys);
-            }
-        } else {
-            // A full-line write supersedes the poisoned data.
-            clearPoison(phys);
-        }
-    }
+    unsigned ch_idx = imap_.route(phys, local);
 
     MemRequest req{kind, local, static_cast<std::uint16_t>(thread)};
     obs::CausalTracer *causal =
@@ -506,8 +325,6 @@ MemorySystem::issueToImc(MemRequestKind kind, Addr line_addr,
                            res.latency, ch_idx);
         }
     }
-    if ((faultEnabled_ || maintEnabled_) && res.fault.any())
-        noteRequestFaults(res.fault, kind, phys, ch_idx, charge_demand);
 }
 
 void
@@ -515,8 +332,8 @@ MemorySystem::enqueueTx(ChannelController &ch, MemRequestKind kind,
                         Addr local, double service, unsigned thread,
                         bool charge_demand, std::int32_t tag)
 {
-    // The channel already moved the data (its counters, cache state
-    // and fault draws are the analytic model's), but a read's latency
+    // The channel already moved the data (its counters and cache
+    // state are the analytic model's), but a read's latency
     // is decided by queue occupancy.
     Transaction tx;
     tx.addr = local;
@@ -584,8 +401,7 @@ MemorySystem::issueFast(MemRequestKind kind, Addr line_addr,
 {
     const Addr phys = translate(line_addr);
     Addr local;
-    const unsigned ch_idx = online_[imap_.route(phys, local)];
-    ChannelController &ch = channels_[ch_idx];
+    ChannelController &ch = channels_[imap_.route(phys, local)];
     const double lat = ch.handleFast(kind, local, thread, poolOf(phys));
     if (queued_) {
         enqueueTx(ch, kind, local, lat, thread, /*charge_demand=*/true);
@@ -614,9 +430,8 @@ MemorySystem::submit(const AccessBatch &batch)
     Addr last =
         lineBase(batch.addr + (batch.size ? batch.size - 1 : 0));
 
-    // The reference per-line engine: required whenever per-request
-    // hooks may fire (observer, faults, maintenance) or batching is
-    // disabled.
+    // The reference per-line engine: required whenever the observer's
+    // per-request hooks may fire or batching is disabled.
     if (referenceEngine()) {
         for (Addr line = first; line <= last; line += kLineSize)
             accessLine<false>(thread, op, line);
@@ -710,7 +525,7 @@ MemorySystem::fastRange(unsigned thread, CpuOp op, Addr first,
 
         const MemPool pool = poolOf(phys);
         Addr local;
-        const unsigned ch_idx = online_[imap_.route(phys, local)];
+        const unsigned ch_idx = imap_.route(phys, local);
 
         if (op == CpuOp::NtStore) {
             for (Addr la = a; la < seg_end; la += kLineSize)
@@ -790,13 +605,6 @@ MemorySystem::dmaCopy(Addr dst, Addr src, Bytes bytes)
         llc_.invalidateLine(d);
         issueToImc(MemRequestKind::LlcWrite, d, 0,
                    /*charge_demand=*/false);
-        if ((faultEnabled_ || maintEnabled_) && !poisoned_.empty() &&
-            poisoned_.count(lineBase(translate(s)))) {
-            // Poison flows through DMA copies: the engine moves the
-            // poisoned payload without consuming it (no machine check
-            // until a core load touches the destination).
-            addPoison(lineBase(translate(d)), /*propagated=*/true);
-        }
         epochDemandBytes_ += kLineSize;
         epochDmaBytes_ += 2 * kLineSize;
         maybeFinishEpoch();
@@ -907,22 +715,11 @@ MemorySystem::finishEpoch()
     runQueuedDrain();
 
     // Resource-side: each channel moves its epoch traffic in parallel
-    // with the others. With faults or maintenance enabled the drained
-    // epochs are kept so the throttle automata can observe the epoch's
-    // write rate and the maintenance engines can close their epoch.
+    // with the others.
     double t_resource = 0;
-    if (!faultEnabled_ && !maintEnabled_) {
-        for (auto &ch : channels_) {
-            ChannelEpoch e = ch.drainEpoch();
-            t_resource = std::max(t_resource, ch.epochTime(e));
-        }
-    } else {
-        epochScratch_.clear();
-        for (auto &ch : channels_) {
-            epochScratch_.push_back(ch.drainEpoch());
-            t_resource =
-                std::max(t_resource, ch.epochTime(epochScratch_.back()));
-        }
+    for (auto &ch : channels_) {
+        ChannelEpoch e = ch.drainEpoch();
+        t_resource = std::max(t_resource, ch.epochTime(e));
     }
 
     // Demand-side: latency-bound issue with `mlp` outstanding lines per
@@ -950,38 +747,12 @@ MemorySystem::finishEpoch()
     bool had_activity = epochDemandBytes_ > 0 || epochComputeFloor_ > 0;
     now_ += dt;
 
-    if (maintEnabled_) {
-        // Close each channel's maintenance epoch: the REF commands dt
-        // covers, the RowHammer tREFW window advance, and the epoch's
-        // refresh/scrub/targeted-refresh stall time — before the trace
-        // samples below, so the deltas land in this epoch.
-        for (std::size_t i = 0; i < channels_.size(); ++i)
-            channels_[i].noteMaintenanceEpoch(epochScratch_[i], dt);
-    }
-
-    if (faultEnabled_) {
-        // Feed the per-DIMM thermal-throttle automata this epoch's
-        // sustained media write rates; the new state applies from the
-        // next epoch on (hysteretic, causal).
-        for (std::size_t i = 0; i < channels_.size(); ++i) {
-            ThrottleState::Transition tr =
-                channels_[i].noteEpochDuration(epochScratch_[i], dt);
-            if (tr == ThrottleState::Transition::Engaged) {
-                faultLog_.record(now_, static_cast<unsigned>(i),
-                                 FaultEventKind::ThrottleEngaged);
-                if (obs_) {
-                    obs_->noteThrottle(now_, static_cast<unsigned>(i),
-                                       /*engaged=*/true);
-                }
-            } else if (tr == ThrottleState::Transition::Released) {
-                faultLog_.record(now_, static_cast<unsigned>(i),
-                                 FaultEventKind::ThrottleReleased);
-                if (obs_) {
-                    obs_->noteThrottle(now_, static_cast<unsigned>(i),
-                                       /*engaged=*/false);
-                }
-            }
-        }
+    const bool refresh = config_.maintenance.enabled();
+    if (refresh) {
+        // Count the REF commands dt covers and their stall time before
+        // the trace samples below, so the deltas land in this epoch.
+        for (auto &ch : channels_)
+            ch.noteRefreshEpoch(dt);
     }
 
     if (tel_ && had_activity && dt > 0) {
@@ -1004,7 +775,7 @@ MemorySystem::finishEpoch()
             s.t0 = now_ - dt;
             s.t1 = now_;
             s.demandBytes = epochDemandBytes_;
-            s.maintenance = maintEnabled_;
+            s.refresh = refresh;
             s.delta = d;
             obs_->noteEpoch(s);
         }
@@ -1033,37 +804,9 @@ MemorySystem::finishEpoch()
             trace_.record("demand_bw", now_,
                           static_cast<double>(epochDemandBytes_) / dt /
                               kGB);
-            if (faultEnabled_) {
-                // Degradation channels (only present on faulty machines
-                // so fault-free traces stay bit-identical).
-                trace_.record("fault_correctable", now_,
-                              static_cast<double>(d.correctableErrors));
-                trace_.record("fault_uncorrectable", now_,
-                              static_cast<double>(d.uncorrectableErrors));
-                trace_.record("tag_ecc_invalidates", now_,
-                              static_cast<double>(d.tagEccInvalidates));
-                trace_.record("fault_retries", now_,
-                              static_cast<double>(d.retries));
-                double min_factor = 1.0;
-                for (unsigned i : online_) {
-                    min_factor = std::min(
-                        min_factor, channels_[i].throttleFactor());
-                }
-                trace_.record("throttle_factor", now_, min_factor);
-                trace_.record("poisoned_lines", now_,
-                              static_cast<double>(poisoned_.size()));
-            }
-            if (maintEnabled_) {
-                // Maintenance channels (only on self-managing DRAM so
-                // maintenance-off traces stay bit-identical).
-                trace_.record("scrub_reads", now_,
-                              static_cast<double>(d.scrubReads));
-                trace_.record("scrub_corrected", now_,
-                              static_cast<double>(d.scrubCorrected));
-                trace_.record("lines_retired", now_,
-                              static_cast<double>(d.linesRetired));
-                trace_.record("targeted_refreshes", now_,
-                              static_cast<double>(d.targetedRefreshes));
+            if (refresh) {
+                // Refresh channels (only with refresh on, so
+                // refresh-off traces stay bit-identical).
                 trace_.record("refresh_slots", now_,
                               static_cast<double>(d.refreshSlots));
                 trace_.record("maintenance_stall_ns", now_,
@@ -1115,41 +858,6 @@ MemorySystem::counters() const
     for (const auto &ch : channels_)
         total += ch.counters();
     return total;
-}
-
-void
-MemorySystem::offlineChannel(unsigned idx)
-{
-    if (idx >= channels_.size())
-        fatal("cannot offline channel %u of %zu", idx, channels_.size());
-    if (online_.size() <= 1)
-        fatal("cannot offline the last online channel");
-    auto it = std::find(online_.begin(), online_.end(), idx);
-    if (it == online_.end())
-        return;  // already offline
-
-    // Close the epoch first so traffic issued under the old interleave
-    // map is timed with the old channel set.
-    finishEpoch();
-
-    channels_[idx].drainBuffers();
-    online_.erase(it);
-    imap_.rebuild(config_.interleaveGranularity, online_.size());
-
-    // The interleave map changed: every channel-local address now means
-    // a different physical line, so all 2LM cache contents (and the
-    // offlined channel's) are stale. Model the reconfiguration as a
-    // full cache invalidation — the refill cost is part of the
-    // degradation being measured.
-    for (auto &ch : channels_)
-        ch.cache().invalidateAll();
-    llc_.invalidateAll();
-
-    faultLog_.record(now_, idx, FaultEventKind::ChannelOfflined);
-    if (obs_)
-        obs_->noteChannelOffline(now_, idx);
-    // Offlining is itself a fault mechanism even if no rates are set.
-    faultEnabled_ = true;
 }
 
 double

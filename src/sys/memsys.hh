@@ -29,11 +29,9 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "core/timeseries.hh"
-#include "fault/fault.hh"
 #include "imc/channel.hh"
 #include "sys/config.hh"
 #include "sys/llc.hh"
@@ -116,13 +114,14 @@ class MemorySystem
      * demand-paged (scatterPages) address spaces alike: a one-line
      * batch takes an inline path (LLC, translate, route, one device
      * request), a longer one is cut into page/chunk/pool segments. The
-     * per-line reference loop runs whenever an observer is attached,
-     * faults/maintenance are enabled, or batching is disabled via
-     * setBatchedAccess() — the two are bit-identical where they
-     * overlap, including the order in which first-touch page frames
-     * are allocated. The queued controller keeps the batched engine
-     * but takes every line through the one-line path, so each request
-     * gets its own arrival: its analytic service cost becomes a
+     * per-line reference loop runs whenever an observer is attached or
+     * batching is disabled via setBatchedAccess() — the two are
+     * bit-identical where they overlap, including the order in which
+     * first-touch page frames are allocated. DRAM refresh needs no
+     * per-request hook and runs on either engine. The queued
+     * controller keeps the batched engine but takes every line
+     * through the one-line path, so each request gets its own
+     * arrival: its analytic service cost becomes a
      * Transaction enqueued at the channel and its latency emerges from
      * queue occupancy at the epoch drain.
      */
@@ -197,9 +196,8 @@ class MemorySystem
 
     /**
      * Attach the observability layer (src/obs): registers every
-     * component's stats into the observer's registry, wires the
-     * set-conflict profiler into the DRAM caches when requested, and
-     * turns on the per-request/per-epoch hooks. Unobserved (the
+     * component's stats into the observer's registry and turns on the
+     * per-request/per-epoch hooks. Unobserved (the
      * default), every hook is one null-pointer test and the system's
      * outputs are bit-identical to a build without the obs layer.
      * The observer is not owned and must outlive the system or be
@@ -243,32 +241,6 @@ class MemorySystem
     /** Channel index serving @p addr. */
     unsigned channelOf(Addr addr) const;
 
-    /** @name Faults and graceful degradation */
-    ///@{
-    /** Machine-level record of injections, poison flow and throttling. */
-    const FaultLog &faultLog() const { return faultLog_; }
-
-    /** Is the line at @p addr (virtual) currently poisoned? */
-    bool isPoisoned(Addr addr);
-
-    /** Number of currently poisoned lines. */
-    std::size_t poisonedLines() const { return poisoned_.size(); }
-
-    /**
-     * Take channel @p idx offline (a failed DIMM / disabled channel):
-     * its buffers are drained, every 2LM cache is invalidated (the
-     * interleave map changes, a reconfiguration event), and all
-     * subsequent traffic re-interleaves across the surviving channels,
-     * which re-solves epoch timing with the reduced parallelism and
-     * bandwidth. Capacity bookkeeping is unchanged — the model answers
-     * "what does losing a channel's bandwidth cost", not "what fits".
-     */
-    void offlineChannel(unsigned idx);
-
-    /** Indices of the channels still online, in interleave order. */
-    const std::vector<unsigned> &onlineChannels() const { return online_; }
-    ///@}
-
     /**
      * Virtual-to-physical translation. Identity unless scatterPages is
      * configured, in which case frames are assigned first-touch in
@@ -300,11 +272,7 @@ class MemorySystem
                    std::int32_t tag = -1);
 
     /** submit() and touchLine() must take the per-line reference. */
-    bool
-    referenceEngine() const
-    {
-        return !batched_ || obs_ || faultEnabled_ || maintEnabled_;
-    }
+    bool referenceEngine() const { return !batched_ || obs_; }
 
     /**
      * One demand line, the body both engines share: LLC, then the
@@ -318,8 +286,7 @@ class MemorySystem
     /**
      * Batched engine's one-line device request: translate, route and
      * ChannelController::handleFast(), charging the latency as demand
-     * (or, queued, enqueueing it). No MemRequest, AccessResult or
-     * fault plumbing.
+     * (or, queued, enqueueing it). No MemRequest or AccessResult.
      */
     void issueFast(MemRequestKind kind, Addr line_addr,
                    std::uint16_t thread);
@@ -327,10 +294,11 @@ class MemorySystem
     /**
      * Batched engine behind submit(): @p lines consecutive lines from
      * @p first, guaranteed not to cross an epoch boundary. Only called
-     * when no observer is attached and faults, maintenance and the
-     * queued controller are off (queued submits go line by line). Segments the run by virtual page (one
-     * translate() per segment, which allocates a first-touched frame
-     * exactly where the per-line loop's first miss would), then by
+     * when no observer is attached and the queued controller is off
+     * (queued submits go line by line). Segments the run by virtual
+     * page (one translate() per segment, which allocates a
+     * first-touched frame exactly where the per-line loop's first miss
+     * would), then by
      * physical interleave chunk and pool, and executes every LLC
      * outcome (device single, coalesced 1LM device run, dirty-victim
      * writeback, LLC hit) against the channels at once, accumulating
@@ -343,21 +311,11 @@ class MemorySystem
     void finishEpoch();
     void maybeFinishEpoch();
 
-    /** Physical address of channel-local @p local on channel @p ch. */
-    Addr physOfLocal(unsigned ch, Addr local) const;
-
-    /** Record a request's injected faults; track poison by phys line. */
-    void noteRequestFaults(const RequestFaults &f, MemRequestKind kind,
-                           Addr phys, unsigned ch, bool charge_demand);
-
-    void addPoison(Addr phys_line, bool propagated);
-    void clearPoison(Addr phys_line);
-
     /** @name Queued controller (config_.controller.queued())
      * In queued mode each controller request is enqueued as it issues.
-     * The channel still runs its analytic model first (counters,
-     * faults and device state are identical), and its latency becomes
-     * the Transaction's service time. Arrivals are spaced by the
+     * The channel still runs its analytic model first (counters and
+     * device state are identical), and its latency becomes the
+     * Transaction's service time. Arrivals are spaced by the
      * offered bandwidth on an epoch-relative clock. LLC hits and posted
      * writes charge their latency at their program position, exactly
      * as in analytic mode; a read's latency (analytic service plus
@@ -429,23 +387,23 @@ class MemorySystem
      * Per-run cached channel-interleave routing. channelOf() and the
      * channel-local address each cost integer divisions when computed
      * from config_ every line; caching the granularity's log2 (when it
-     * is a power of two, the common case) and the online-channel count
-     * turns the per-line routing into shift/mask plus ONE division —
-     * and both engines share it, so the per-line and batched paths
-     * provably route identically. Rebuilt whenever online_ changes.
+     * is a power of two, the common case) and the channel count turns
+     * the per-line routing into shift/mask plus ONE division — and
+     * both engines share it, so the per-line and batched paths
+     * provably route identically. Built once, in the constructor.
      */
     struct InterleaveMap
     {
         Addr gran = 1;
         Addr granMask = 0;
         int granShift = -1;  //!< >= 0 iff gran is a power of two
-        std::size_t nOnline = 1;
+        std::size_t nChannels = 1;
 
         void
-        rebuild(Addr granularity, std::size_t n_online)
+        build(Addr granularity, std::size_t n_channels)
         {
             gran = granularity ? granularity : 1;
-            nOnline = n_online ? n_online : 1;
+            nChannels = n_channels ? n_channels : 1;
             granShift = -1;
             granMask = 0;
             if ((gran & (gran - 1)) == 0) {
@@ -456,35 +414,35 @@ class MemorySystem
             }
         }
 
-        /** Interleave position (index into online_) of @p phys. */
-        std::size_t
-        pos(Addr phys) const
+        /** Channel serving @p phys. */
+        unsigned
+        channel(Addr phys) const
         {
             const Addr chunk =
                 granShift >= 0 ? phys >> granShift : phys / gran;
-            return static_cast<std::size_t>(chunk % nOnline);
+            return static_cast<unsigned>(chunk % nChannels);
         }
 
         /**
-         * Position plus channel-local address. Pow2 path: one udiv
-         * (quotient and remainder of chunk / nOnline come from the
+         * Channel plus channel-local address. Pow2 path: one udiv
+         * (quotient and remainder of chunk / nChannels come from the
          * same division); local = floor(chunk / n) * gran + offset,
          * identical to the historical
          * (phys / (gran * n)) * gran + phys % gran
          * by the nested floor-division identity.
          */
-        std::size_t
+        unsigned
         route(Addr phys, Addr &local) const
         {
             if (granShift >= 0) {
                 const Addr chunk = phys >> granShift;
-                const Addr q = chunk / nOnline;
+                const Addr q = chunk / nChannels;
                 local = (q << granShift) | (phys & granMask);
-                return static_cast<std::size_t>(chunk - q * nOnline);
+                return static_cast<unsigned>(chunk - q * nChannels);
             }
             const Addr chunk = phys / gran;
-            local = (chunk / nOnline) * gran + phys % gran;
-            return static_cast<std::size_t>(chunk % nOnline);
+            local = (chunk / nChannels) * gran + phys % gran;
+            return static_cast<unsigned>(chunk % nChannels);
         }
     };
 
@@ -496,23 +454,12 @@ class MemorySystem
     obs::TelemetryRun *tel_ = nullptr;  //!< optional, not owned
     std::vector<PerfCounters> telScratch_;  //!< per-channel blocks
 
-    // Fault state. faultEnabled_ caches config_.fault.enabled() so the
-    // hot paths pay one predictable branch on a fault-free machine.
-    bool faultEnabled_ = false;
-    // Cached config_.maintenance.enabled(): maintenance produces fault
-    // side effects (scrub UEs, retirement) and per-epoch bookkeeping,
-    // so it forces the same reference paths fault injection does.
-    bool maintEnabled_ = false;
-    FaultLog faultLog_;
     // Cached config_.controller.queued(): routes controller requests
     // through the channel queues, one line (one arrival) at a time.
     bool queued_ = false;
     double txArrival_ = 0;  //!< next arrival time (epoch seconds)
     std::vector<PendingCausal> txCausal_;  //!< by Transaction::tag
     std::vector<std::int32_t> txTraced_;   //!< tags, completion order
-    std::unordered_set<Addr> poisoned_;     //!< poisoned phys lines
-    std::vector<unsigned> online_;          //!< online channel indices
-    std::vector<ChannelEpoch> epochScratch_;
 
     // First-touch scattered paging state (only used with
     // config_.scatterPages). Each pool owns a frame pool permuted

@@ -1,6 +1,7 @@
 /**
  * @file
- * SystemConfig::validate() and FaultConfig::validate() negative tests.
+ * SystemConfig::validate() negative tests, plus the config-file keys
+ * of deleted models that SystemConfig::fromJson() must refuse.
  *
  * validate() terminates the process through fatal() (exit code 1 with a
  * message on stderr), so every rejection is exercised as a gtest death
@@ -140,62 +141,60 @@ TEST(ConfigValidateDeathTest, RejectsSubLineEpochBytes)
                 "epochBytes must cover at least one line");
 }
 
-// --- FaultConfig::validate(), reached through SystemConfig ---
+// --- Fault-injection settings, reached through SystemConfig::fromJson ---
+//
+// There is no fault-injection model: a config file that asks for one,
+// with a sane or an insane value, must be refused at load time rather
+// than run fault-free. Each case below is a setting that validate()
+// used to reject; it is still rejected, now by the key check.
+
+void
+expectFaultBlockRejected(const char *json)
+{
+    EXPECT_EXIT(SystemConfig::fromJson(json), ::testing::ExitedWithCode(1),
+                "unknown key 'fault' in the top-level object");
+}
 
 TEST(FaultConfigValidateDeathTest, RejectsNegativeRate)
 {
-    SystemConfig cfg = okConfig();
-    cfg.fault.nvramReadCorrectable = -0.1;
-    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1), "rate");
+    expectFaultBlockRejected(
+        "{\"fault\": {\"nvram_read_correctable\": -0.1}}");
 }
 
 TEST(FaultConfigValidateDeathTest, RejectsRateAboveOne)
 {
-    SystemConfig cfg = okConfig();
-    cfg.fault.tagEccUncorrectable = 1.5;
-    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1), "rate");
+    expectFaultBlockRejected("{\"fault\": {\"tag_ecc_uncorrectable\": 1.5}}");
 }
 
 TEST(FaultConfigValidateDeathTest, RejectsZeroMaxRetries)
 {
-    SystemConfig cfg = okConfig();
-    cfg.fault.maxRetries = 0;
-    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
-                "maxRetries");
+    expectFaultBlockRejected("{\"fault\": {\"max_retries\": 0}}");
 }
 
 TEST(FaultConfigValidateDeathTest, RejectsNegativeRetryLatency)
 {
-    SystemConfig cfg = okConfig();
-    cfg.fault.retryLatency = -1e-6;
-    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
-                "retryLatency");
+    expectFaultBlockRejected("{\"fault\": {\"retry_latency\": -1e-6}}");
 }
 
 TEST(FaultConfigValidateDeathTest, RejectsBadThrottleFactor)
 {
-    SystemConfig cfg = okConfig();
-    cfg.fault.throttle.engageBandwidth = 1e9;
-    cfg.fault.throttle.factor = 0;
-    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1), "factor");
+    expectFaultBlockRejected(
+        "{\"fault\": {\"throttle\": "
+        "{\"engage_bandwidth\": 1e9, \"factor\": 0}}}");
 }
 
 TEST(FaultConfigValidateDeathTest, RejectsReleaseAboveEngage)
 {
-    SystemConfig cfg = okConfig();
-    cfg.fault.throttle.engageBandwidth = 1e9;
-    cfg.fault.throttle.releaseBandwidth = 2e9;
-    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
-                "release");
+    expectFaultBlockRejected(
+        "{\"fault\": {\"throttle\": "
+        "{\"engage_bandwidth\": 1e9, \"release_bandwidth\": 2e9}}}");
 }
 
 TEST(FaultConfigValidateDeathTest, RejectsZeroThrottleEpochs)
 {
-    SystemConfig cfg = okConfig();
-    cfg.fault.throttle.engageBandwidth = 1e9;
-    cfg.fault.throttle.engageEpochs = 0;
-    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
-                "[Ee]poch");
+    expectFaultBlockRejected(
+        "{\"fault\": {\"throttle\": "
+        "{\"engage_bandwidth\": 1e9, \"engage_epochs\": 0}}}");
 }
 
 // --- MaintenanceConfig::validate(), reached through SystemConfig ---
@@ -217,51 +216,53 @@ TEST(MaintenanceConfigValidateDeathTest, RejectsRefreshEatingAllBankTime)
                 "all bank time refreshing");
 }
 
+// The maintenance block models refresh only. A patrol-scrub or
+// RowHammer setting that validate() used to reject is still rejected,
+// now by the key check, so an old config cannot run without them.
+
 TEST(MaintenanceConfigValidateDeathTest, RejectsNegativeScrubInterval)
 {
-    SystemConfig cfg = okConfig();
-    cfg.maintenance.scrub.interval = -100;
-    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
-                "negative cadence");
+    EXPECT_EXIT(SystemConfig::fromJson(
+                    "{\"maintenance\": {\"scrub\": {\"interval\": -100}}}"),
+                ::testing::ExitedWithCode(1),
+                "unknown key 'scrub' in maintenance");
 }
 
 TEST(MaintenanceConfigValidateDeathTest, RejectsZeroRetireThreshold)
 {
-    SystemConfig cfg = okConfig();
-    cfg.maintenance.scrub.interval = 100;
-    cfg.maintenance.scrub.retireThreshold = 0;
-    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
-                "retire threshold");
+    EXPECT_EXIT(SystemConfig::fromJson(
+                    "{\"maintenance\": {\"scrub\": "
+                    "{\"interval\": 100, \"retire_threshold\": 0}}}"),
+                ::testing::ExitedWithCode(1),
+                "unknown key 'scrub' in maintenance");
 }
 
 TEST(MaintenanceConfigValidateDeathTest, RejectsScrubRateAboveOne)
 {
-    SystemConfig cfg = okConfig();
-    cfg.maintenance.scrub.interval = 100;
-    cfg.maintenance.scrub.correctable = 1.5;
-    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
-                "\\[0, 1\\]");
+    EXPECT_EXIT(SystemConfig::fromJson(
+                    "{\"maintenance\": {\"scrub\": "
+                    "{\"interval\": 100, \"correctable\": 1.5}}}"),
+                ::testing::ExitedWithCode(1),
+                "unknown key 'scrub' in maintenance");
 }
 
 TEST(MaintenanceConfigValidateDeathTest,
      RejectsRetireCapacityAboveCacheSize)
 {
-    SystemConfig cfg = okConfig();
-    cfg.maintenance.scrub.interval = 100;
-    // More spare rows than the scaled DIMM has cache lines.
-    cfg.maintenance.scrub.retireCapacity =
-        cfg.scaledDramPerDimm() / kLineSize + 1;
-    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
-                "retirement capacity");
+    EXPECT_EXIT(SystemConfig::fromJson(
+                    "{\"maintenance\": {\"scrub\": {\"interval\": 100, "
+                    "\"retire_capacity\": 1099511627776}}}"),
+                ::testing::ExitedWithCode(1),
+                "unknown key 'scrub' in maintenance");
 }
 
 TEST(MaintenanceConfigValidateDeathTest, RejectsZeroRowHammerTracker)
 {
-    SystemConfig cfg = okConfig();
-    cfg.maintenance.rowhammer.threshold = 1000;
-    cfg.maintenance.rowhammer.trackerEntries = 0;
-    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
-                "tracker");
+    EXPECT_EXIT(SystemConfig::fromJson(
+                    "{\"maintenance\": {\"rowhammer\": "
+                    "{\"threshold\": 1000, \"tracker_entries\": 0}}}"),
+                ::testing::ExitedWithCode(1),
+                "unknown key 'rowhammer' in maintenance");
 }
 
 TEST(MaintenanceConfigValidate, AllOffDefaultsPassAndStayDisabled)

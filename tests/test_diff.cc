@@ -35,7 +35,7 @@ fidx(PerfField f)
     return static_cast<std::size_t>(f);
 }
 
-/** A synthetic window with steady demand and maintenance activity. */
+/** A synthetic window with steady demand and refresh activity. */
 TelemetryWindow
 steadyWindow(std::int64_t index)
 {
@@ -47,7 +47,7 @@ steadyWindow(std::int64_t index)
     w.all[fidx(PerfField::llcReads)] = 1000;
     w.all[fidx(PerfField::dramRead)] = 900;
     w.all[fidx(PerfField::nvramRead)] = 100;
-    w.all[fidx(PerfField::targetedRefreshes)] = 4;
+    w.all[fidx(PerfField::refreshSlots)] = 4;
     w.all[fidx(PerfField::maintenanceStallNs)] = 2000;
     w.perChannel.assign(kF, 0.0);
     for (std::size_t f = 0; f < kF; ++f)
@@ -112,10 +112,10 @@ TEST(Diff, PerturbationIsLocalizedAndBlamed)
 {
     TelDoc a = docOf(steadyRun("r", 6));
     TelDoc b = docOf(steadyRun("r", 6));
-    // A maintenance storm in window 3: targeted refreshes spike and
-    // drag bank-stall time with them.
+    // A refresh storm in window 3: REF commands spike and drag
+    // bank-stall time with them.
     TelemetryWindow &w = b.runs[0].windows[3];
-    std::size_t tr = fidx(PerfField::targetedRefreshes);
+    std::size_t tr = fidx(PerfField::refreshSlots);
     std::size_t st = fidx(PerfField::maintenanceStallNs);
     w.all[tr] += 200;
     w.all[st] += 90000;
@@ -136,7 +136,7 @@ TEST(Diff, PerturbationIsLocalizedAndBlamed)
     bool sawAll = false, sawCh0 = false;
     for (const DiffEntry &e : rd.entries) {
         EXPECT_EQ(e.window, 3);
-        EXPECT_TRUE(e.metric == "targeted_refreshes" ||
+        EXPECT_TRUE(e.metric == "refresh_slots" ||
                     e.metric == "maintenance_stall_ns" ||
                     e.metric == "maint_duty")
             << e.metric;
@@ -152,8 +152,8 @@ TEST(Diff, PerturbationIsLocalizedAndBlamed)
     // explains the stall delta, per the cause taxonomy).
     ASSERT_FALSE(rd.families.empty());
     EXPECT_EQ(rd.families[0].family, "maintenance");
-    EXPECT_EQ(rd.families[0].dominant, "targeted_refreshes");
-    EXPECT_NE(rd.families[0].cause.find("TargetedRefresh"),
+    EXPECT_EQ(rd.families[0].dominant, "refresh_slots");
+    EXPECT_NE(rd.families[0].cause.find("REF cadence"),
               std::string::npos);
 
     std::string text = report.text({});

@@ -67,29 +67,6 @@ TEST(DmaCopy, EngineBandwidthBoundsTime)
     EXPECT_NEAR(sys.now() - t0, expected, expected * 0.05);
 }
 
-TEST(DmaCopy, PropagatesScrubPoisonWithFaultsOff)
-{
-    // Maintenance alone creates poison: every patrol read hits an
-    // uncorrectable error, so the first DRAM request on channel 0
-    // poisons that channel's first frame, the line at address 0. The
-    // copy must carry that poison to its destination even though no
-    // fault rates are configured.
-    SystemConfig cfg = cfgWith(8e9);
-    cfg.maintenance.scrub.interval = 1;
-    cfg.maintenance.scrub.uncorrectable = 1;
-    ASSERT_FALSE(cfg.fault.enabled());
-    MemorySystem sys(cfg);
-    Region src = sys.allocateIn(MemPool::Dram, kMiB, "src");
-    Region dst = sys.allocateIn(MemPool::Nvram, kMiB, "dst");
-    sys.submit({0, CpuOp::Load, src.base, kLineSize});
-    ASSERT_TRUE(sys.isPoisoned(src.base));
-    ASSERT_FALSE(sys.isPoisoned(dst.base));
-
-    sys.dmaCopy(dst.base, src.base, kLineSize);
-    EXPECT_TRUE(sys.isPoisoned(dst.base));
-    EXPECT_EQ(sys.faultLog().poisonPropagated(), 1u);
-}
-
 TEST(DmaCopy, OverlapsWithComputeUnlikeCpuMoves)
 {
     // A copy plus an equal-length compute phase: DMA overlaps (total

@@ -331,8 +331,8 @@ class NearWrapCache : public DramCache
 
 TEST(DramCacheAssoc, LruClockNearWrapPicksTheSameVictims)
 {
-    // 16 sets x 4 ways under random reads, writes and frame
-    // retirements over four capacities' worth of lines; the clock
+    // 16 sets x 4 ways under random reads and writes over four
+    // capacities' worth of lines; the clock
     // passes its maximum after 500 touches. Every result must match a
     // cache whose clock starts at zero.
     DramCacheParams p = tinyParams();
@@ -344,13 +344,6 @@ TEST(DramCacheAssoc, LruClockNearWrapPicksTheSameVictims)
     for (unsigned i = 0; i < 5000; ++i) {
         x = x * 6364136223846793005ULL + 1442695040888963407ULL;
         const Addr addr = ((x >> 20) % lines) * kLineSize;
-        if ((x >> 8) % 500 == 0) {
-            TagCorruption a = plain.retireFrame(addr);
-            TagCorruption b = wrapping.retireFrame(addr);
-            ASSERT_EQ(a.dropped, b.dropped) << "retirement " << i;
-            ASSERT_EQ(a.line, b.line) << "retirement " << i;
-            continue;
-        }
         const bool is_write = (x >> 40) % 3 == 0;
         CacheResult a = is_write ? plain.write(addr) : plain.read(addr);
         CacheResult b =
@@ -361,5 +354,4 @@ TEST(DramCacheAssoc, LruClockNearWrapPicksTheSameVictims)
         ASSERT_EQ(a.fill, b.fill) << "access " << i;
         ASSERT_EQ(a.actions.total(), b.actions.total()) << "access " << i;
     }
-    EXPECT_EQ(plain.retiredWays(), wrapping.retiredWays());
 }

@@ -1,236 +1,25 @@
 /**
  * @file
- * Directed tests for the DRAM maintenance subsystem: the Graphene-style
- * RowHammer tracker (Misra-Gries + spillover), the seeded patrol-scrub
- * engine with its repeat-CE retirement ladder, the refresh duty/slot
- * epoch math, and frame retirement inside the DRAM cache (a retired way
- * must never serve a hit again).
+ * Directed tests for DRAM refresh accounting: the duty and demand-stall
+ * math and the REF slot count carried across epochs.
  */
 
 #include <gtest/gtest.h>
 
-#include <vector>
+#include <cstdint>
 
-#include "imc/dram_cache.hh"
 #include "mem/maintenance/maintenance.hh"
 
 using namespace nvsim;
 
-namespace
-{
-
-RowHammerConfig
-hammerConfig(std::uint64_t threshold, std::uint32_t entries = 64)
-{
-    RowHammerConfig rh;
-    rh.threshold = threshold;
-    rh.trackerEntries = entries;
-    return rh;
-}
-
-/** Flat fingerprint of one scrub outcome for sequence comparison. */
-std::uint64_t
-fingerprint(const ScrubOutcome &o)
-{
-    return (o.read ? 1u : 0u) | (o.correctableError ? 2u : 0u) |
-           (o.uncorrectableError ? 4u : 0u) | (o.retire ? 8u : 0u) |
-           (o.frame << 4);
-}
-
-} // namespace
-
-// --- RowTracker ----------------------------------------------------------
-
-TEST(RowTracker, ThresholdCrossingKeepsRemainder)
-{
-    RowTracker t(hammerConfig(10));
-    // 25 activations: two mitigations fire, the counter keeps 5.
-    EXPECT_EQ(t.activate(5, 25), 2u);
-    EXPECT_EQ(t.activate(5, 4), 0u);  // 9 < 10
-    EXPECT_EQ(t.activate(5, 1), 1u);  // 10: fires, resets to 0
-    EXPECT_EQ(t.activate(5, 9), 0u);
-}
-
-TEST(RowTracker, ZeroActivationsAreFree)
-{
-    RowTracker t(hammerConfig(10));
-    EXPECT_EQ(t.activate(5, 0), 0u);
-    EXPECT_EQ(t.tracked(), 0u);
-}
-
-TEST(RowTracker, SpilloverAdoptionNeverUnderestimates)
-{
-    // Two-entry table: evicted rows donate to the spillover, newcomers
-    // adopt it — the no-false-negative property Graphene needs.
-    RowTracker t(hammerConfig(100, 2));
-    EXPECT_EQ(t.activate(1, 10), 0u);
-    EXPECT_EQ(t.activate(2, 20), 0u);
-    EXPECT_EQ(t.tracked(), 2u);
-
-    // Spillover (5) still below the smallest count (10): row 3 stays
-    // untracked, its activations land in the spillover.
-    EXPECT_EQ(t.activate(3, 5), 0u);
-    EXPECT_EQ(t.tracked(), 2u);
-    EXPECT_EQ(t.spillover(), 5u);
-
-    // Spillover (11) overtakes the minimum: row 3 adopts it.
-    EXPECT_EQ(t.activate(3, 6), 0u);
-    EXPECT_EQ(t.tracked(), 2u);
-    EXPECT_EQ(t.spillover(), 11u);
-
-    // 11 adopted + 89 = 100: exactly one mitigation, no undercount even
-    // though most of row 3's "activations" were other rows' spillover.
-    EXPECT_EQ(t.activate(3, 89), 1u);
-}
-
-TEST(RowTracker, EvictionIsDeterministic)
-{
-    // Identical activation streams on two trackers must agree exactly,
-    // including which rows the full table evicts (ties break by row id,
-    // never by unordered_map iteration order).
-    auto run = [] {
-        RowTracker t(hammerConfig(50, 4));
-        std::uint64_t triggers = 0;
-        std::uint64_t x = 12345;
-        for (int i = 0; i < 2000; ++i) {
-            splitmix64(x);
-            triggers += t.activate(x % 16, 1 + x % 7);
-        }
-        return std::make_tuple(triggers, t.spillover(), t.tracked());
-    };
-    EXPECT_EQ(run(), run());
-}
-
-TEST(RowTracker, WindowResetClearsEverything)
-{
-    RowTracker t(hammerConfig(4, 2));
-    t.activate(1, 3);
-    t.activate(2, 3);
-    t.activate(3, 3);  // spills
-    t.resetWindow();
-    EXPECT_EQ(t.tracked(), 0u);
-    EXPECT_EQ(t.spillover(), 0u);
-    // The old remainders are gone: 3 more activations don't fire.
-    EXPECT_EQ(t.activate(1, 3), 0u);
-}
-
-// --- ScrubEngine ---------------------------------------------------------
-
-TEST(ScrubEngine, CadenceAndWalkOrder)
-{
-    ScrubConfig sc;
-    sc.interval = 4;
-    ScrubEngine eng(sc, 2 * kLineSize, 1, 0);
-
-    std::vector<Addr> frames;
-    for (int i = 0; i < 16; ++i) {
-        ScrubOutcome o = eng.tick();
-        EXPECT_EQ(o.read, (i + 1) % 4 == 0) << "tick " << i;
-        if (o.read)
-            frames.push_back(o.frame);
-    }
-    // One read every 4 requests, walking the two frames round-robin.
-    EXPECT_EQ(frames,
-              (std::vector<Addr>{0, kLineSize, 0, kLineSize}));
-}
-
-TEST(ScrubEngine, SubUnityIntervalSaturatesAtOneReadPerRequest)
-{
-    ScrubConfig sc;
-    sc.interval = 0.25;  // would want 4 reads per request
-    ScrubEngine eng(sc, 8 * kLineSize, 1, 0);
-    for (int i = 0; i < 32; ++i)
-        EXPECT_TRUE(eng.tick().read) << "tick " << i;
-}
-
-TEST(ScrubEngine, RepeatCeLadderRetiresAtThreshold)
-{
-    ScrubConfig sc;
-    sc.interval = 1;
-    sc.correctable = 1.0;  // every patrol read takes a CE
-    sc.retireThreshold = 2;
-    sc.retireCapacity = 1;
-    // One frame: the ladder hits the same frame every read.
-    ScrubEngine eng(sc, kLineSize, 1, 0);
-
-    ScrubOutcome o1 = eng.tick();
-    EXPECT_TRUE(o1.correctableError);
-    EXPECT_FALSE(o1.retire);  // first CE: logged, scrubbed in place
-    ScrubOutcome o2 = eng.tick();
-    EXPECT_TRUE(o2.correctableError);
-    EXPECT_TRUE(o2.retire);  // second CE: the ladder retires the frame
-    EXPECT_EQ(eng.retiredFrames(), 1u);
-
-    // Spare budget exhausted: further CEs can no longer retire.
-    eng.tick();
-    ScrubOutcome o4 = eng.tick();
-    EXPECT_TRUE(o4.correctableError);
-    EXPECT_FALSE(o4.retire);
-    EXPECT_EQ(eng.retiredFrames(), 1u);
-}
-
-TEST(ScrubEngine, UncorrectableRetiresImmediately)
-{
-    ScrubConfig sc;
-    sc.interval = 1;
-    sc.uncorrectable = 1.0;
-    sc.retireCapacity = 2;
-    ScrubEngine eng(sc, 4 * kLineSize, 1, 0);
-
-    ScrubOutcome o = eng.tick();
-    EXPECT_TRUE(o.uncorrectableError);
-    EXPECT_TRUE(o.retire);
-    eng.tick();
-    EXPECT_EQ(eng.retiredFrames(), 2u);
-    // Budget gone: UEs still escalate but stop retiring.
-    ScrubOutcome o3 = eng.tick();
-    EXPECT_TRUE(o3.uncorrectableError);
-    EXPECT_FALSE(o3.retire);
-}
-
-TEST(ScrubEngine, SeededReplayIsExactAndPerChannelStreamsDiffer)
-{
-    ScrubConfig sc;
-    sc.interval = 1;
-    sc.correctable = 0.5;
-    sc.uncorrectable = 0.05;
-    sc.retireCapacity = 1u << 20;
-
-    auto sequence = [&sc](unsigned channel) {
-        ScrubEngine eng(sc, 64 * kLineSize, 42, channel);
-        std::vector<std::uint64_t> seq;
-        for (int i = 0; i < 200; ++i)
-            seq.push_back(fingerprint(eng.tick()));
-        return seq;
-    };
-    // Same (seed, channel): bit-identical replay.
-    EXPECT_EQ(sequence(0), sequence(0));
-    // Different channels: independent streams.
-    EXPECT_NE(sequence(0), sequence(1));
-}
-
-TEST(ScrubEngine, DisabledEngineNeverReads)
-{
-    ScrubConfig sc;  // interval = 0: off
-    ScrubEngine eng(sc, 64 * kLineSize, 1, 0);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_FALSE(eng.tick().read);
-}
-
-// --- MaintenanceEngine ---------------------------------------------------
-
 TEST(MaintenanceEngine, AllOffDefaultsAreInert)
 {
     MaintenanceConfig mc;
-    MaintenanceEngine eng(mc, 64 * kLineSize, 0);
+    MaintenanceEngine eng(mc);
     EXPECT_FALSE(eng.enabled());
-    EXPECT_FALSE(eng.demandTick().read);
-    EXPECT_EQ(eng.noteActivation(0, 10), 0u);
     EXPECT_DOUBLE_EQ(eng.refreshDuty(), 0.0);
     EXPECT_DOUBLE_EQ(eng.refreshDemandStall(), 0.0);
     EXPECT_EQ(eng.closeEpoch(1.0), 0u);
-    EXPECT_DOUBLE_EQ(eng.drainTargetedTime(), 0.0);
-    EXPECT_DOUBLE_EQ(eng.drainScrubTime(), 0.0);
 }
 
 TEST(MaintenanceEngine, RefreshDutyAndStallMath)
@@ -238,7 +27,7 @@ TEST(MaintenanceEngine, RefreshDutyAndStallMath)
     MaintenanceConfig mc;
     mc.refresh.trefi = 7.8e-6;
     mc.refresh.trfc = 350e-9;
-    MaintenanceEngine eng(mc, 64 * kLineSize, 0);
+    MaintenanceEngine eng(mc);
     EXPECT_TRUE(eng.enabled());
     double duty = 350e-9 / 7.8e-6;
     EXPECT_DOUBLE_EQ(eng.refreshDuty(), duty);
@@ -250,8 +39,8 @@ TEST(MaintenanceEngine, RefreshSlotsExactOverAnyEpochPartition)
 {
     MaintenanceConfig mc;
     mc.refresh.trefi = 7.8e-6;
-    MaintenanceEngine whole(mc, 64 * kLineSize, 0);
-    MaintenanceEngine split(mc, 64 * kLineSize, 0);
+    MaintenanceEngine whole(mc);
+    MaintenanceEngine split(mc);
 
     std::uint64_t one = whole.closeEpoch(1e-3);
     std::uint64_t sum = 0;
@@ -261,148 +50,4 @@ TEST(MaintenanceEngine, RefreshSlotsExactOverAnyEpochPartition)
     // from the whole by at most the final fractional command.
     EXPECT_EQ(one, static_cast<std::uint64_t>(1e-3 / 7.8e-6));
     EXPECT_LE(one > sum ? one - sum : sum - one, 1u);
-}
-
-TEST(MaintenanceEngine, WindowRolloverResetsTheTracker)
-{
-    MaintenanceConfig mc;
-    mc.rowhammer = hammerConfig(4);
-    mc.rowhammer.window = 1e-3;
-    MaintenanceEngine eng(mc, 64 * kLineSize, 0);
-
-    EXPECT_EQ(eng.noteActivation(0, 3), 0u);
-    EXPECT_EQ(eng.trackedRows(), 1u);
-    eng.closeEpoch(2e-3);  // tREFW passed: every row refreshed
-    EXPECT_EQ(eng.trackedRows(), 0u);
-    // Without the reset this would be activation 6 >= 4 and fire.
-    EXPECT_EQ(eng.noteActivation(0, 3), 0u);
-}
-
-TEST(MaintenanceEngine, TargetedRefreshTimeAccrues)
-{
-    MaintenanceConfig mc;
-    mc.rowhammer = hammerConfig(2);
-    mc.rowhammer.blastRadius = 2;
-    mc.rowhammer.refreshLatency = 60e-9;
-    MaintenanceEngine eng(mc, 64 * kLineSize, 0);
-
-    EXPECT_EQ(eng.noteActivation(0, 4), 2u);  // two crossings
-    EXPECT_DOUBLE_EQ(eng.drainTargetedTime(), 2 * 2 * 60e-9);
-    EXPECT_DOUBLE_EQ(eng.drainTargetedTime(), 0.0);  // drained
-}
-
-TEST(MaintenanceEngine, ActivationsAggregateByRowAndFoldOnCapacity)
-{
-    MaintenanceConfig mc;
-    mc.rowhammer = hammerConfig(3);
-    mc.rowhammer.rowBytes = 8 * kKiB;
-    Bytes capacity = 64 * kKiB;
-    MaintenanceEngine eng(mc, capacity, 0);
-
-    // Two addresses in the same 8 KiB row plus one that wraps the
-    // DIMM's capacity back onto row 0: together they cross threshold 3.
-    EXPECT_EQ(eng.noteActivation(0, 1), 0u);
-    EXPECT_EQ(eng.noteActivation(4 * kKiB, 1), 0u);
-    EXPECT_EQ(eng.noteActivation(capacity + 64, 1), 1u);
-    EXPECT_EQ(eng.trackedRows(), 1u);
-}
-
-TEST(MaintenanceEngine, ResetReplaysTheScrubStream)
-{
-    MaintenanceConfig mc;
-    mc.scrub.interval = 1;
-    mc.scrub.correctable = 0.5;
-    MaintenanceEngine eng(mc, 64 * kLineSize, 3);
-
-    std::vector<std::uint64_t> first, second;
-    for (int i = 0; i < 100; ++i)
-        first.push_back(fingerprint(eng.demandTick()));
-    eng.reset();
-    for (int i = 0; i < 100; ++i)
-        second.push_back(fingerprint(eng.demandTick()));
-    EXPECT_EQ(first, second);
-}
-
-// --- DramCache frame retirement ------------------------------------------
-
-namespace
-{
-
-DramCacheParams
-cacheParams(unsigned ways)
-{
-    DramCacheParams p;
-    p.capacity = 64 * kLineSize;
-    p.ways = ways;
-    return p;
-}
-
-} // namespace
-
-TEST(DramCacheRetire, RetiredLineNeverServesHitsAgain)
-{
-    DramCache cache(cacheParams(1));
-    cache.write(0);  // resident and dirty
-
-    TagCorruption tc = cache.retireFrame(0);
-    EXPECT_TRUE(tc.dropped);
-    EXPECT_TRUE(tc.wasDirty);
-    EXPECT_EQ(tc.line, 0u);
-    EXPECT_EQ(cache.retiredWays(), 1u);
-    EXPECT_FALSE(cache.resident(0));
-
-    // The direct-mapped set is fully retired: demand bypasses to NVRAM
-    // and never re-fills the frame.
-    CacheResult r = cache.read(0);
-    EXPECT_TRUE(r.bypassed);
-    EXPECT_EQ(r.outcome, CacheOutcome::MissClean);
-    EXPECT_EQ(r.actions.nvramReads, 1u);
-    EXPECT_FALSE(cache.resident(0));
-
-    CacheResult w = cache.write(0);
-    EXPECT_EQ(w.actions.nvramWrites, 1u);
-    EXPECT_FALSE(cache.resident(0));
-}
-
-TEST(DramCacheRetire, RetireIsIdempotent)
-{
-    DramCache cache(cacheParams(1));
-    cache.read(0);
-    TagCorruption first = cache.retireFrame(0);
-    EXPECT_TRUE(first.dropped);
-    TagCorruption again = cache.retireFrame(0);
-    EXPECT_FALSE(again.dropped);
-    EXPECT_EQ(cache.retiredWays(), 1u);
-}
-
-TEST(DramCacheRetire, SurvivingWaysKeepServingTheSet)
-{
-    DramCache cache(cacheParams(2));  // 32 sets x 2 ways
-    // Frame 0 is set 0 way 0; retire it while the set stays usable.
-    cache.retireFrame(0);
-    EXPECT_EQ(cache.retiredWays(), 1u);
-
-    CacheResult miss = cache.read(0);
-    EXPECT_FALSE(miss.bypassed);  // filled into the surviving way
-    EXPECT_EQ(cache.read(0).outcome, CacheOutcome::Hit);
-
-    // Retire the second way (frame 1 = set 0 way 1): the resident line
-    // is dropped and the whole set turns into a bypass set.
-    TagCorruption tc = cache.retireFrame(kLineSize);
-    EXPECT_TRUE(tc.dropped);
-    EXPECT_EQ(tc.line, 0u);
-    EXPECT_EQ(cache.retiredWays(), 2u);
-    EXPECT_TRUE(cache.read(0).bypassed);
-}
-
-TEST(DramCacheRetire, InvalidateAllRemapsSpares)
-{
-    DramCache cache(cacheParams(1));
-    cache.retireFrame(0);
-    EXPECT_EQ(cache.retiredWays(), 1u);
-    // A reboot remaps retired rows onto spares: the frame serves again.
-    cache.invalidateAll();
-    EXPECT_EQ(cache.retiredWays(), 0u);
-    EXPECT_FALSE(cache.read(0).bypassed);
-    EXPECT_EQ(cache.read(0).outcome, CacheOutcome::Hit);
 }

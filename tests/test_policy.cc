@@ -223,23 +223,6 @@ TEST(SramTagPolicy, FifoSkipsLruTouch)
     }
 }
 
-TEST(SramTagPolicy, CorruptionOnlyDropsResidentData)
-{
-    auto policy =
-        makeCachePolicy(tinyParams(), configFor("sram_tag_set_assoc"));
-    // Non-resident probe: the SRAM tags are fine, nothing is lost.
-    TagCorruption none = policy->corruptTag(0);
-    EXPECT_FALSE(none.dropped);
-
-    policy->write(0);
-    ASSERT_TRUE(policy->residentDirty(0));
-    TagCorruption hit = policy->corruptTag(0);
-    EXPECT_TRUE(hit.dropped);
-    EXPECT_TRUE(hit.wasDirty);
-    EXPECT_EQ(hit.line, 0u);
-    EXPECT_FALSE(policy->resident(0));
-}
-
 // --- Bypass / selective-insert policy ------------------------------------
 
 TEST(BypassPolicy, InsertsOnlyAtThreshold)
@@ -363,6 +346,11 @@ TEST(ConfigJsonDeath, UnknownTopLevelKeyIsFatal)
 {
     EXPECT_EXIT(SystemConfig::fromJson("{\"sokets\": 2}"),
                 ::testing::ExitedWithCode(1), "sokets");
+    // There is no fault-injection block: a config that sets one must
+    // fail loudly, not run fault-free.
+    EXPECT_EXIT(SystemConfig::fromJson("{\"fault\": {\"seed\": 7}}"),
+                ::testing::ExitedWithCode(1),
+                "unknown key 'fault' in the top-level object");
 }
 
 TEST(ConfigJsonDeath, UnknownNestedKeyIsFatal)
@@ -370,6 +358,21 @@ TEST(ConfigJsonDeath, UnknownNestedKeyIsFatal)
     EXPECT_EXIT(
         SystemConfig::fromJson("{\"policy\": {\"knd\": \"x\"}}"),
         ::testing::ExitedWithCode(1), "knd");
+    // The maintenance block holds refresh only: a patrol scrubber, a
+    // RowHammer tracker or their seed are unknown keys.
+    EXPECT_EXIT(
+        SystemConfig::fromJson(
+            "{\"maintenance\": {\"scrub\": {\"interval\": 64}}}"),
+        ::testing::ExitedWithCode(1),
+        "unknown key 'scrub' in maintenance");
+    EXPECT_EXIT(
+        SystemConfig::fromJson(
+            "{\"maintenance\": {\"rowhammer\": {\"threshold\": 512}}}"),
+        ::testing::ExitedWithCode(1),
+        "unknown key 'rowhammer' in maintenance");
+    EXPECT_EXIT(
+        SystemConfig::fromJson("{\"maintenance\": {\"seed\": 1}}"),
+        ::testing::ExitedWithCode(1), "unknown key 'seed' in maintenance");
 }
 
 TEST(ConfigJsonDeath, MalformedJsonIsFatalWithPosition)

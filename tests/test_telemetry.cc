@@ -374,6 +374,34 @@ TEST(Slo, EvaluatesComplianceBudget)
     std::string report = obs::sloReport("r", bad);
     EXPECT_NE(report.find("SLO report: r"), std::string::npos);
     EXPECT_NE(report.find("FAIL"), std::string::npos);
+    EXPECT_EQ(report.find("evicted"), std::string::npos);
+
+    // The same run through a 4-window ring keeps only windows 6-9, all
+    // compliant. The evicted head makes the verdict void: the
+    // objective fails and the report names the evicted count.
+    obs::TelemetryRun ring("r", telOpts(1e-3, 4));
+    ring.prime(&zero, 1);
+    cum = 0;
+    for (int e = 0; e < 10; ++e) {
+        ring.noteLatency(e == 4 ? 2e-6 : 1e-6, 8);
+        cum += 8;
+        PerfCounters c = countersAt(cum, 0);
+        ring.onEpoch(e * 1e-3, (e + 1) * 1e-3 - 1e-7, 512, &c, 1);
+    }
+    ring.finish();
+    ASSERT_EQ(ring.windows().size(), 4u);
+    ASSERT_EQ(ring.windowsDropped(), 6u);
+    obs::SloResult evicted = obs::evaluateSlo(
+        obs::SloSpec::parse("p99_ns<1500@90%"), ring);
+    EXPECT_FALSE(evicted.pass);
+    EXPECT_EQ(evicted.evicted, 6u);
+    ASSERT_EQ(evicted.objectives.size(), 1u);
+    EXPECT_FALSE(evicted.objectives[0].pass);
+    EXPECT_EQ(evicted.objectives[0].compliant, 4u);
+    std::string ring_report = obs::sloReport("r", evicted);
+    EXPECT_NE(ring_report.find("FAIL p99_ns<1500@90%"), std::string::npos);
+    EXPECT_NE(ring_report.find("6 windows evicted"), std::string::npos);
+    EXPECT_NE(ring_report.find("overall: FAIL"), std::string::npos);
 }
 
 // --------------------------------------------------------------------

@@ -80,10 +80,11 @@ timeArg(const std::string &value, const char *flag)
 }
 
 /**
- * Flags that cannot change any simulated result — output paths and
- * worker counts. They are excluded from the provenance manifest so
- * the same experiment writes byte-identical artifacts at any --jobs=N
- * or output filename.
+ * Flags that cannot change any simulated result — output paths, worker
+ * counts and the per-line reference loop. They are excluded from the
+ * provenance manifest so the same experiment writes byte-identical
+ * artifacts at any --jobs=N, on either access path, or under any
+ * output filename.
  */
 inline bool
 manifestNeutral(const char *arg)
@@ -91,7 +92,7 @@ manifestNeutral(const char *arg)
     static const char *const kNeutral[] = {
         "--jobs=",           "--stats-json=",    "--stats-prom=",
         "--perfetto=",       "--causal-trace=",  "--folded-stacks=",
-        "--telemetry=",      "--telemetry-json=",
+        "--telemetry=",      "--telemetry-json=", "--per-line",
     };
     for (const char *prefix : kNeutral) {
         if (std::strncmp(arg, prefix, std::strlen(prefix)) == 0)

@@ -86,18 +86,62 @@ diff -r "$det_dir/jobs1" "$det_dir/perline"
 rm -rf "$det_dir"
 echo "determinism smoke passed: outputs byte-identical."
 
-# Observability smoke: one bench run with every obs output enabled;
-# both JSON artifacts must parse (json.tool exits nonzero otherwise).
-echo "=== obs smoke (stats JSON / Perfetto / Prometheus) ==="
+# Observability smoke: fig2 (1LM) and fig4 (2LM) with every obs
+# output enabled, on the range path and on the per-line reference
+# loop. An observer rides the range path, so the two directories must
+# be byte-identical. The JSON artifacts must parse (json.tool exits
+# nonzero otherwise), and fig4's stats JSON must show Table I: every
+# request class within 1-5 device accesses, clean read misses at 3
+# and NT-write dirty misses at 5.
+echo "=== obs smoke (observed artifacts on both paths, Table I) ==="
 obs_dir=$(mktemp -d)
 trap 'rm -rf "$obs_dir"' EXIT
-(cd "$obs_dir" && "$root/build/bench/bench_fig4_2lm_microbench" \
-    --stats-json=stats.json --stats-prom=stats.prom \
-    --perfetto=trace.json > bench.log)
-python3 -m json.tool "$obs_dir/stats.json" > /dev/null
-python3 -m json.tool "$obs_dir/trace.json" > /dev/null
-test -s "$obs_dir/stats.prom"
-echo "obs smoke passed: artifacts written and valid."
+for variant in "range --jobs=1" "perline --jobs=1 --per-line"; do
+    name=${variant%% *}
+    flags=${variant#* }
+    for bench in fig2_nvram_bw fig4_2lm_microbench; do
+        mkdir -p "$obs_dir/$name/$bench"
+        # shellcheck disable=SC2086  # flags is a word list by design
+        (cd "$obs_dir/$name/$bench" && "$root/build/bench/bench_$bench" \
+            $flags --stats-json=stats.json --stats-prom=stats.prom \
+            --perfetto=trace.json --causal-trace=causal.json \
+            --folded-stacks=folded.txt --causal-sample=7 > bench.log)
+    done
+done
+diff -r "$obs_dir/range" "$obs_dir/perline"
+for bench in fig2_nvram_bw fig4_2lm_microbench; do
+    for f in stats.json trace.json causal.json; do
+        python3 -m json.tool "$obs_dir/range/$bench/$f" > /dev/null
+    done
+    test -s "$obs_dir/range/$bench/stats.prom"
+    test -s "$obs_dir/range/$bench/folded.txt"
+done
+python3 - "$obs_dir/range/fig4_2lm_microbench/stats.json" <<'EOF'
+import json, sys
+runs = json.load(open(sys.argv[1]))["runs"]
+pinned = {"4a read-only": ("miss_clean", 3),
+          "4b write-only NT": ("miss_dirty", 5)}
+seen = {prefix: 0 for prefix in pinned}
+for run in runs:
+    label, requests = run["label"], run["stats"]["requests"]
+    for klass, hists in requests.items():
+        if not isinstance(hists, dict):
+            continue  # the dma_requests scalar
+        acc = hists["device_accesses"]
+        if acc["count"]:
+            assert 1 <= acc["min"] and acc["max"] <= 5, \
+                f"{label}: {klass} outside Table I's 1-5: {acc}"
+    for prefix, (klass, accesses) in pinned.items():
+        if label.startswith(prefix):
+            acc = requests[klass]["device_accesses"]
+            assert acc["count"] > 0, f"{label}: no {klass} requests"
+            assert acc["min"] == acc["max"] == accesses, \
+                f"{label}: {klass} not all at {accesses}: {acc}"
+            seen[prefix] += 1
+assert all(n == 2 for n in seen.values()), f"pinned runs missing: {seen}"
+EOF
+echo "obs smoke passed: observed artifacts identical on both paths," \
+     "valid, and within Table I."
 
 # Flag and module census: every flag benchUsage() lists (any bench
 # prints it on an unknown argument) must have a row in DESIGN.md's
@@ -186,6 +230,19 @@ done
 diff "$root/tests/golden/table1_stdout.txt" "$gold_dir/table1_stdout.txt"
 rm -rf "$gold_dir"
 echo "golden byte-diff passed: default-policy outputs match the seed."
+
+# Root-CSV twins: every checked-in root CSV that has a tests/golden/
+# twin must equal it byte for byte, so the two copies cannot drift.
+echo "=== root CSVs vs their tests/golden twins ==="
+twins=0
+for golden in "$root"/tests/golden/*.csv; do
+    csv="$root/${golden##*/}"
+    [ -e "$csv" ] || continue
+    cmp "$golden" "$csv"
+    twins=$((twins + 1))
+done
+test "$twins" -gt 0
+echo "root CSVs match: $twins twins byte-identical."
 
 # Demand-paged goldens: the DNN, DLRM and batch-scaling benches run
 # with OS demand paging (scatterPages), which the batched engine

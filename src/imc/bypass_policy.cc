@@ -62,12 +62,4 @@ BypassSelectiveInsertPolicy::shouldInsert(Addr addr, MemRequestKind kind)
     return true;
 }
 
-void
-BypassSelectiveInsertPolicy::invalidateAll()
-{
-    DirectMappedTagEccPolicy::invalidateAll();
-    for (auto &e : table_)
-        e = Entry{};
-}
-
 } // namespace nvsim

@@ -45,8 +45,6 @@ class BypassSelectiveInsertPolicy : public DirectMappedTagEccPolicy
         return "bypass_selective_insert";
     }
 
-    void invalidateAll() override;
-
     unsigned insertThreshold() const { return threshold_; }
 
     /** Current miss count the frequency table holds for @p addr. */

@@ -140,12 +140,6 @@ class CachePolicy
     /** Is the resident copy of the line dirty? */
     virtual bool residentDirty(Addr addr) const = 0;
 
-    /**
-     * Drop every line, writing back nothing (used to reset state
-     * between benchmark phases, like a reboot would).
-     */
-    virtual void invalidateAll() = 0;
-
     virtual std::uint64_t numSets() const = 0;
     virtual unsigned ways() const = 0;
     virtual const DramCacheParams &params() const = 0;

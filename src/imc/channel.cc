@@ -39,62 +39,31 @@ ChannelController::ChannelController(const ChannelParams &params,
     }
 }
 
-AccessResult
-ChannelController::handle(const MemRequest &req, MemPool pool)
+inline CacheResult
+ChannelController::access2lm(MemRequestKind kind, Addr addr,
+                             std::uint16_t thread)
 {
-    return mode_ == MemoryMode::TwoLm ? handle2lm(req)
-                                      : handle1lm(req, pool);
+    CacheResult cr = kind == MemRequestKind::LlcRead ? cache_->read(addr)
+                                                     : cache_->write(addr);
+    dram_.read(cr.actions.dramReads);
+    dram_.write(cr.actions.dramWrites);
+    if (cr.filled) {
+        nvram_.read(cr.fill, thread);
+        ++epochMisses_;
+    }
+    if (cr.wroteBack)
+        nvram_.write(cr.victim, thread);
+    counters_.addOutcome(kind, cr.outcome);
+    counters_.addActions(cr.actions);
+    counters_.missBypass += cr.bypassed;
+    counters_.sramTagLookups += cr.tagsInSram;
+    return cr;
 }
 
-double
-ChannelController::handleFast(MemRequestKind kind, Addr addr,
-                              std::uint16_t thread, MemPool pool)
-{
-    if (mode_ == MemoryMode::TwoLm) {
-        CacheResult cr = kind == MemRequestKind::LlcRead
-                             ? cache_->read(addr)
-                             : cache_->write(addr);
-        dram_.read(cr.actions.dramReads);
-        dram_.write(cr.actions.dramWrites);
-        if (cr.filled) {
-            nvram_.read(cr.fill, thread);
-            ++epochMisses_;
-        }
-        if (cr.wroteBack)
-            nvram_.write(cr.victim, thread);
-        counters_.addOutcome(kind, cr.outcome);
-        counters_.addActions(cr.actions);
-        counters_.missBypass += cr.bypassed;
-        counters_.sramTagLookups += cr.tagsInSram;
-        return cache_->demandLatency(kind, cr, lat_);
-    }
-
-    // 1LM: one direct device access.
-    counters_.addOutcome(kind, CacheOutcome::Uncached);
-    if (kind == MemRequestKind::LlcRead) {
-        if (pool == MemPool::Dram) {
-            dram_.read(1);
-            counters_.dramRead += 1;
-            return lat_.dram;
-        }
-        nvram_.read(addr, thread);
-        counters_.nvramRead += 1;
-        return params_.nvram.readLatency;
-    }
-    if (pool == MemPool::Dram) {
-        dram_.write(1);
-        counters_.dramWrite += 1;
-        return lat_.dram;
-    }
-    nvram_.write(addr, thread);
-    counters_.nvramWrite += 1;
-    return params_.nvram.writeLatency;
-}
-
-double
-ChannelController::handleFastRun1lm(MemRequestKind kind, Addr addr,
-                                    std::uint64_t lines,
-                                    std::uint16_t thread, MemPool pool)
+inline double
+ChannelController::access1lm(MemRequestKind kind, Addr addr,
+                             std::uint64_t lines, std::uint16_t thread,
+                             MemPool pool)
 {
     if (kind == MemRequestKind::LlcRead) {
         counters_.llcReads += lines;
@@ -118,6 +87,52 @@ ChannelController::handleFastRun1lm(MemRequestKind kind, Addr addr,
     return params_.nvram.writeLatency;
 }
 
+AccessResult
+ChannelController::handle(const MemRequest &req, MemPool pool)
+{
+    AccessResult result;
+    if (mode_ == MemoryMode::TwoLm) {
+        const CacheResult cr = access2lm(req.kind, req.addr, req.thread);
+        result.outcome = cr.outcome;
+        result.actions = cr.actions;
+        if (req.traced)
+            result.breakdown = cache_->breakdown(req.kind, cr, lat_);
+        result.latency = cache_->demandLatency(req.kind, cr, lat_);
+        return result;
+    }
+
+    // 1LM: no cache in the path, one direct device access.
+    result.latency = access1lm(req.kind, req.addr, 1, req.thread, pool);
+    const bool dram = pool == MemPool::Dram;
+    if (req.kind == MemRequestKind::LlcRead)
+        (dram ? result.actions.dramReads : result.actions.nvramReads) = 1;
+    else
+        (dram ? result.actions.dramWrites : result.actions.nvramWrites) = 1;
+    if (req.traced)
+        result.breakdown.add(AccessCause::DirectAccess, pool,
+                             result.latency);
+    return result;
+}
+
+double
+ChannelController::handleFast(MemRequestKind kind, Addr addr,
+                              std::uint16_t thread, MemPool pool)
+{
+    if (mode_ == MemoryMode::TwoLm) {
+        const CacheResult cr = access2lm(kind, addr, thread);
+        return cache_->demandLatency(kind, cr, lat_);
+    }
+    return access1lm(kind, addr, 1, thread, pool);
+}
+
+double
+ChannelController::handleFastRun1lm(MemRequestKind kind, Addr addr,
+                                    std::uint64_t lines,
+                                    std::uint16_t thread, MemPool pool)
+{
+    return access1lm(kind, addr, lines, thread, pool);
+}
+
 DeviceLatencies
 deviceLatencies(const ChannelParams &params)
 {
@@ -130,75 +145,6 @@ causalBreakdown2lm(MemRequestKind kind, const CacheResult &cr,
                    const ChannelParams &params)
 {
     return tagEccBreakdown(kind, cr, deviceLatencies(params));
-}
-
-AccessResult
-ChannelController::handle2lm(const MemRequest &req)
-{
-    AccessResult result;
-    CacheResult cr = req.kind == MemRequestKind::LlcRead
-                         ? cache_->read(req.addr)
-                         : cache_->write(req.addr);
-    dram_.read(cr.actions.dramReads);
-    dram_.write(cr.actions.dramWrites);
-    if (cr.filled)
-        nvram_.read(cr.fill, req.thread);
-    if (cr.wroteBack)
-        nvram_.write(cr.victim, req.thread);
-
-    counters_.addOutcome(req.kind, cr.outcome);
-    counters_.addActions(cr.actions);
-    counters_.missBypass += cr.bypassed;
-    counters_.sramTagLookups += cr.tagsInSram;
-    if (cr.filled)
-        ++epochMisses_;
-
-    result.outcome = cr.outcome;
-    result.actions = cr.actions;
-    if (req.traced)
-        result.breakdown = cache_->breakdown(req.kind, cr, lat_);
-    result.latency = cache_->demandLatency(req.kind, cr, lat_);
-    return result;
-}
-
-AccessResult
-ChannelController::handle1lm(const MemRequest &req, MemPool pool)
-{
-    AccessResult result;
-    result.outcome = CacheOutcome::Uncached;
-    counters_.addOutcome(req.kind, CacheOutcome::Uncached);
-
-    if (req.kind == MemRequestKind::LlcRead) {
-        if (pool == MemPool::Dram) {
-            dram_.read(1);
-            counters_.dramRead += 1;
-            result.actions.dramReads = 1;
-            result.latency = lat_.dram;
-        } else {
-            nvram_.read(req.addr, req.thread);
-            counters_.nvramRead += 1;
-            result.actions.nvramReads = 1;
-            result.latency = params_.nvram.readLatency;
-        }
-    } else {
-        if (pool == MemPool::Dram) {
-            dram_.write(1);
-            counters_.dramWrite += 1;
-            result.actions.dramWrites = 1;
-            result.latency = lat_.dram;
-        } else {
-            nvram_.write(req.addr, req.thread);
-            counters_.nvramWrite += 1;
-            result.actions.nvramWrites = 1;
-            result.latency = params_.nvram.writeLatency;
-        }
-    }
-    if (req.traced) {
-        // 1LM: no cache in the path, one direct device access.
-        result.breakdown.add(AccessCause::DirectAccess, pool,
-                             result.latency);
-    }
-    return result;
 }
 
 void
@@ -216,12 +162,6 @@ ChannelController::drainEpoch()
     e.misses = epochMisses_;
     epochMisses_ = 0;
     return e;
-}
-
-bool
-ChannelController::willAccept(TransactionKind kind) const
-{
-    return !txq_ || txq_->willAccept(kind);
 }
 
 void
@@ -391,23 +331,6 @@ ChannelController::regStats(obs::Group &g)
                           return txq_->draining() ? 1.0 : 0.0;
                       });
     }
-}
-
-void
-ChannelController::reset()
-{
-    cache_->invalidateAll();
-    counters_ = PerfCounters{};
-    epochMisses_ = 0;
-    maint_.reset();
-    if (txq_) {
-        txq_->drainAll();
-        txq_->takeStats();
-        txq_->resetEpoch();
-    }
-    drainEpoch();
-    drainBuffers();
-    drainEpoch();
 }
 
 } // namespace nvsim

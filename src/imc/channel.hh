@@ -115,12 +115,11 @@ class ChannelController
      */
     AccessResult handle(const MemRequest &req, MemPool pool);
 
-    /** @name Batched fast path
-     * Lean demand entry points used by MemorySystem::submit() when
-     * no observer is attached: the same cache/device state transitions
-     * and counter updates as handle(), with none of the AccessResult
-     * or causal-breakdown plumbing. Each returns the request's demand
-     * latency in seconds.
+    /** @name Lean entry points
+     * The same channel bodies as handle(), with none of the
+     * AccessResult or causal-breakdown plumbing: MemorySystem issues
+     * every unobserved request through these. Each returns the
+     * request's demand latency in seconds.
      */
     ///@{
     /** One 64 B request (channel-local, line-aligned address). */
@@ -144,16 +143,10 @@ class ChannelController
      * seam as usual, then enqueues it here; latency emerges from
      * queue/bank/bus occupancy and is reported through the completion
      * handler as a CompletionInfo. With the degenerate "analytic"
-     * scheduler no queue exists and these are inert: willAccept()
-     * always true, tick()/drainQueues() no-ops, enqueue() fatal.
+     * scheduler no queue exists and these are inert: tick() and
+     * drainQueues() are no-ops, enqueue() is fatal.
      */
     ///@{
-    /** Is a real queue engine in the path? */
-    bool queuedMode() const { return txq_ != nullptr; }
-
-    /** Backpressure probe for @p kind's queue. */
-    bool willAccept(TransactionKind kind) const;
-
     /** Hand one transaction to the queue engine (queued mode only). */
     void enqueue(const Transaction &tx);
 
@@ -170,9 +163,6 @@ class ChannelController
 
     /** Completion callback; fires once per transaction, issue order. */
     void setCompletionHandler(CompletionHandler handler);
-
-    /** The queue engine, for tests/stats (nullptr when analytic). */
-    const ChannelTxQueue *txQueue() const { return txq_.get(); }
     ///@}
 
     /** Quiesce: flush NVRAM write buffers. */
@@ -195,8 +185,6 @@ class ChannelController
      */
     void noteRefreshEpoch(double dt);
 
-    const MaintenanceEngine &maintenance() const { return maint_; }
-
     PerfCounters &counters() { return counters_; }
     const PerfCounters &counters() const { return counters_; }
 
@@ -210,9 +198,6 @@ class ChannelController
     MemoryMode mode() const { return mode_; }
     const ChannelParams &params() const { return params_; }
 
-    /** Reset cache contents and counters (fresh benchmark). */
-    void reset();
-
     /**
      * Register this channel's live stats under @p g: every uncore
      * counter, derived rates and device totals, all as
@@ -223,8 +208,19 @@ class ChannelController
     void regStats(obs::Group &g);
 
   private:
-    AccessResult handle2lm(const MemRequest &req);
-    AccessResult handle1lm(const MemRequest &req, MemPool pool);
+    /**
+     * The one 2LM body: ask the cache policy, apply its CacheResult
+     * to the devices and counters, and return it.
+     */
+    CacheResult access2lm(MemRequestKind kind, Addr addr,
+                          std::uint16_t thread);
+
+    /**
+     * The one 1LM body: @p lines direct device requests of one kind
+     * to one pool. Returns the demand latency of each line.
+     */
+    double access1lm(MemRequestKind kind, Addr addr, std::uint64_t lines,
+                     std::uint16_t thread, MemPool pool);
 
     ChannelParams params_;
     MemoryMode mode_;

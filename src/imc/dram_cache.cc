@@ -252,14 +252,4 @@ DirectMappedTagEccPolicy::residentDirty(Addr addr) const
     return way != kNoWay && isDirty(way);
 }
 
-void
-DirectMappedTagEccPolicy::invalidateAll()
-{
-    std::fill(wayTag_.begin(), wayTag_.end(), kInvalidWord);
-    // A no-op for ways == 1, where wayLru_ is never allocated.
-    std::fill(wayLru_.begin(), wayLru_.end(), 0);
-    // Recreate the DDO policy so no stale insert knowledge survives.
-    ddo_ = DdoPolicy::create(params_.ddo);
-}
-
 } // namespace nvsim

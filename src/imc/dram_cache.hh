@@ -61,12 +61,6 @@ class DirectMappedTagEccPolicy : public CachePolicy
     /** Is the resident copy of the line dirty? */
     bool residentDirty(Addr addr) const override;
 
-    /**
-     * Drop every line, writing back nothing (used to reset state
-     * between benchmark phases, like a reboot would).
-     */
-    void invalidateAll() override;
-
     std::uint64_t numSets() const override { return numSets_; }
     unsigned ways() const override { return ways_; }
     const DramCacheParams &params() const override { return params_; }

@@ -87,9 +87,6 @@ class MaintenanceEngine
      */
     std::uint64_t closeEpoch(double dt);
 
-    /** Clear the carried fraction (fresh benchmark). */
-    void reset() { refreshCarry_ = 0; }
-
   private:
     MaintenanceConfig config_;
     double refreshCarry_ = 0;  //!< fractional REF commands carried over

@@ -21,10 +21,9 @@
  *    (the epoch is when the latency work is priced). A run-cumulative
  *    sketch yields whole-run p50/p90/p99/p999 without storing samples.
  *
- * Unlike an Observer, telemetry does NOT force the per-line access
- * engine: the batched engine feeds bulk noteLatency(lat, n) calls that
- * land in exactly the buckets n per-line calls would, so telemetry
- * collection keeps batched/parallel performance. Runs are independent
+ * A coalesced run feeds one bulk noteLatency(lat, n) call that lands
+ * in exactly the buckets n per-line calls would. Unlike an Observer's
+ * session, telemetry keeps the sweep parallel: runs are independent
  * (one per sweep point) and the export sorts by run label, which is
  * what keeps --jobs=N output byte-identical to serial.
  *

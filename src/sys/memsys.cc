@@ -280,9 +280,27 @@ MemorySystem::channelOf(Addr addr) const
     return imap_.channel(addr);
 }
 
+inline void
+MemorySystem::chargeLatency(double lat, std::uint64_t n)
+{
+    // Line by line, so a batch of n adds in the per-line loop's order.
+    for (std::uint64_t i = 0; i < n; ++i)
+        epochLatencyWork_ += lat;
+    if (tel_)
+        tel_->noteLatency(lat, n);
+}
+
+inline void
+MemorySystem::llcHit()
+{
+    chargeLatency(config_.llcHitLatency);
+    if (obs_)
+        obs_->noteLlcHit();
+}
+
 void
-MemorySystem::issueToImc(MemRequestKind kind, Addr line_addr,
-                         unsigned thread, bool charge_demand)
+MemorySystem::issue(MemRequestKind kind, Addr line_addr, unsigned thread,
+                    bool charge_demand)
 {
     // Virtual-to-physical first (the cache and DIMMs see physical
     // addresses; translate() preserves the pool), then to the
@@ -291,40 +309,57 @@ MemorySystem::issueToImc(MemRequestKind kind, Addr line_addr,
     // contiguous local space. The hardware indexes its DRAM cache
     // (and DIMMs) with this local address, so a physically contiguous
     // array uses every set.
-    Addr phys = translate(line_addr);
+    const Addr phys = translate(line_addr);
     Addr local;
-    unsigned ch_idx = imap_.route(phys, local);
+    const unsigned ch_idx = imap_.route(phys, local);
+    issueAt(ch_idx, local, poolOf(phys), kind, thread, charge_demand);
+}
 
+inline void
+MemorySystem::issueAt(unsigned ch_idx, Addr local, MemPool pool,
+                      MemRequestKind kind, unsigned thread,
+                      bool charge_demand)
+{
+    ChannelController &ch = channels_[ch_idx];
+    std::int32_t tag = -1;
+    const double lat =
+        obs_ ? issueObserved(ch_idx, local, pool, kind, thread,
+                             charge_demand, tag)
+             : ch.handleFast(kind, local,
+                             static_cast<std::uint16_t>(thread), pool);
+    if (queued_)
+        enqueueTx(ch, kind, local, lat, thread, charge_demand, tag);
+    else if (charge_demand)
+        chargeLatency(lat);
+}
+
+double
+MemorySystem::issueObserved(unsigned ch_idx, Addr local, MemPool pool,
+                            MemRequestKind kind, unsigned thread,
+                            bool charge_demand, std::int32_t &tag)
+{
+    // Only CPU demand is sampled: DMA-engine traffic is not a request
+    // any workload context waits for.
     MemRequest req{kind, local, static_cast<std::uint16_t>(thread)};
-    obs::CausalTracer *causal =
-        obs_ && charge_demand ? obs_->causal() : nullptr;
+    obs::CausalTracer *causal = charge_demand ? obs_->causal() : nullptr;
     if (causal)
         req.traced = causal->shouldSample();
-    ChannelController &ch = channels_[ch_idx];
-    AccessResult res = ch.handle(req, poolOf(phys));
-    if (queued_) {
-        std::int32_t tag = -1;
-        if (req.traced) {
+    const AccessResult res = channels_[ch_idx].handle(req, pool);
+    // noteRequest carries the analytic (service) latency even in
+    // queued mode: it feeds outcome/action counts; the queue-aware
+    // totals reach the causal tracer and telemetry at completion.
+    obs_->noteRequest(charge_demand, res.outcome, res.actions.total(),
+                      res.latency);
+    if (req.traced) {
+        if (queued_) {
             tag = static_cast<std::int32_t>(txCausal_.size());
             txCausal_.push_back({kind, res.outcome, res.breakdown});
-        }
-        enqueueTx(ch, kind, local, res.latency, thread, charge_demand, tag);
-    } else if (charge_demand) {
-        epochLatencyWork_ += res.latency;
-        if (tel_)
-            tel_->noteLatency(res.latency);
-    }
-    if (obs_) {
-        // noteRequest carries the analytic (service) latency even in
-        // queued mode: it feeds outcome/action counts; the queue-aware
-        // totals reach the causal tracer and telemetry at completion.
-        obs_->noteRequest(charge_demand, res.outcome,
-                          res.actions.total(), res.latency);
-        if (req.traced && !queued_) {
+        } else {
             causal->record(kind, res.outcome, res.breakdown, now_,
                            res.latency, ch_idx);
         }
     }
+    return res.latency;
 }
 
 void
@@ -348,46 +383,33 @@ MemorySystem::enqueueTx(ChannelController &ch, MemRequestKind kind,
     if (tx.kind == TransactionKind::Write && charge_demand) {
         // Posted write: the CPU-visible cost is the analytic accept
         // time, charged now; the WPQ residency is pure interference.
-        epochLatencyWork_ += service;
-        if (tel_)
-            tel_->noteLatency(service);
+        chargeLatency(service);
     }
     ch.enqueue(tx);
 }
 
-template <bool Fast>
 inline void
 MemorySystem::accessLine(unsigned thread, CpuOp op, Addr line_addr)
 {
-    auto issue = [&](MemRequestKind kind, Addr line) {
-        if constexpr (Fast)
-            issueFast(kind, line, static_cast<std::uint16_t>(thread));
-        else
-            issueToImc(kind, line, thread);
-    };
     switch (op) {
       case CpuOp::Load:
       case CpuOp::Store: {
         LlcResult lr = llc_.access(line_addr, op == CpuOp::Store);
         epochLoadBytes_ += kLineSize;
         if (lr.hit) {
-            epochLatencyWork_ += config_.llcHitLatency;
-            if (tel_)
-                tel_->noteLatency(config_.llcHitLatency);
-            if (!Fast && obs_)
-                obs_->noteLlcHit();
+            llcHit();
         } else {
             // Load miss or store RFO.
-            issue(MemRequestKind::LlcRead, line_addr);
+            issue(MemRequestKind::LlcRead, line_addr, thread);
             if (lr.evictedDirty)
-                issue(MemRequestKind::LlcWrite, lr.victim);
+                issue(MemRequestKind::LlcWrite, lr.victim, thread);
         }
         break;
       }
       case CpuOp::NtStore: {
         llc_.invalidateLine(line_addr);
         epochNtStoreBytes_ += kLineSize;
-        issue(MemRequestKind::LlcWrite, line_addr);
+        issue(MemRequestKind::LlcWrite, line_addr, thread);
         break;
       }
     }
@@ -396,29 +418,9 @@ MemorySystem::accessLine(unsigned thread, CpuOp op, Addr line_addr)
 }
 
 void
-MemorySystem::issueFast(MemRequestKind kind, Addr line_addr,
-                        std::uint16_t thread)
-{
-    const Addr phys = translate(line_addr);
-    Addr local;
-    ChannelController &ch = channels_[imap_.route(phys, local)];
-    const double lat = ch.handleFast(kind, local, thread, poolOf(phys));
-    if (queued_) {
-        enqueueTx(ch, kind, local, lat, thread, /*charge_demand=*/true);
-        return;
-    }
-    epochLatencyWork_ += lat;
-    if (tel_)
-        tel_->noteLatency(lat);
-}
-
-void
 MemorySystem::touchLine(unsigned thread, CpuOp op, Addr line_addr)
 {
-    if (referenceEngine())
-        accessLine<false>(thread, op, line_addr);
-    else
-        accessLine<true>(thread, op, line_addr);
+    accessLine(thread, op, line_addr);
 }
 
 void
@@ -430,29 +432,20 @@ MemorySystem::submit(const AccessBatch &batch)
     Addr last =
         lineBase(batch.addr + (batch.size ? batch.size - 1 : 0));
 
-    // The reference per-line engine: required whenever the observer's
-    // per-request hooks may fire or batching is disabled.
-    if (referenceEngine()) {
+    // The reference per-line loop (setBatchedAccess(false)).
+    if (!batched_) {
         for (Addr line = first; line <= last; line += kLineSize)
-            accessLine<false>(thread, op, line);
+            accessLine(thread, op, line);
         return;
     }
 
     // One line (a graph kernel's 4 B or 16 B element): no segments.
     if (first == last) {
-        accessLine<true>(thread, op, first);
+        accessLine(thread, op, first);
         return;
     }
 
-    // The queued controller takes requests one line at a time, each
-    // with its own arrival, so no 1LM run is coalesced.
-    if (queued_) {
-        for (Addr line = first; line <= last; line += kLineSize)
-            accessLine<true>(thread, op, line);
-        return;
-    }
-
-    // Batched engine. Epoch boundaries must land exactly where the
+    // Range path. Epoch boundaries must land exactly where the
     // per-line loop puts them, so process at most the lines that fit
     // before the next boundary, close the epoch, and continue.
     std::uint64_t left = (last - first) / kLineSize + 1;
@@ -474,27 +467,20 @@ MemorySystem::fastRange(unsigned thread, CpuOp op, Addr first,
                         std::uint64_t lines)
 {
     const Bytes gran = config_.interleaveGranularity;
-    const bool two_lm = config_.mode == MemoryMode::TwoLm;
+    // 1LM misses of a segment may coalesce into one device run only
+    // when nothing needs them one by one: a queued request needs its
+    // own arrival, an observed one its own hooks.
+    const bool coalesce =
+        config_.mode == MemoryMode::OneLm && !queued_ && !obs_;
     const std::uint16_t tid = static_cast<std::uint16_t>(thread);
 
-    // One device line on an already routed channel (2LM access).
-    auto single = [&](unsigned ch_idx, Addr local, MemRequestKind kind,
-                      MemPool pool) {
-        double lat = channels_[ch_idx].handleFast(kind, local, tid, pool);
-        epochLatencyWork_ += lat;
-        if (tel_)
-            tel_->noteLatency(lat);
-    };
     // A coalesced 1LM device run; its latency is accumulated line by
     // line, in the per-line loop's order.
     auto run = [&](unsigned ch_idx, Addr local, std::uint64_t n,
                    MemRequestKind kind, MemPool pool) {
-        double lat =
-            channels_[ch_idx].handleFastRun1lm(kind, local, n, tid, pool);
-        for (std::uint64_t i = 0; i < n; ++i)
-            epochLatencyWork_ += lat;
-        if (tel_)
-            tel_->noteLatency(lat, n);
+        chargeLatency(
+            channels_[ch_idx].handleFastRun1lm(kind, local, n, tid, pool),
+            n);
     };
 
     Addr a = first;
@@ -531,21 +517,22 @@ MemorySystem::fastRange(unsigned thread, CpuOp op, Addr first,
             for (Addr la = a; la < seg_end; la += kLineSize)
                 llc_.invalidateLine(la);
             epochNtStoreBytes_ += n * kLineSize;
-            if (two_lm) {
-                Addr end = local + n * kLineSize;
-                for (Addr ll = local; ll < end; ll += kLineSize)
-                    single(ch_idx, ll, MemRequestKind::LlcWrite, pool);
-            } else {
+            if (coalesce) {
                 run(ch_idx, local, n, MemRequestKind::LlcWrite, pool);
+            } else {
+                const Addr end = local + n * kLineSize;
+                for (Addr ll = local; ll < end; ll += kLineSize)
+                    issueAt(ch_idx, ll, pool, MemRequestKind::LlcWrite,
+                            thread, true);
             }
         } else {
             const bool is_store = op == CpuOp::Store;
             epochLoadBytes_ += n * kLineSize;
-            // 1LM: coalesce consecutive missed lines into device runs.
-            // A run is flushed before any other latency contribution
-            // (LLC hit, dirty victim) so the floating-point
-            // accumulation into epochLatencyWork_ happens line by
-            // line in exactly the per-line loop's order.
+            // Coalesced misses form a run that is flushed before any
+            // other latency contribution (LLC hit, dirty victim), so
+            // the floating-point accumulation into epochLatencyWork_
+            // happens line by line in exactly the per-line loop's
+            // order.
             Addr run_local = 0;
             std::uint64_t run_lines = 0;
             auto flush_run = [&]() {
@@ -561,24 +548,21 @@ MemorySystem::fastRange(unsigned thread, CpuOp op, Addr first,
                 LlcResult lr = llc_.access(la, is_store);
                 if (lr.hit) {
                     flush_run();
-                    epochLatencyWork_ += config_.llcHitLatency;
-                    if (tel_)
-                        tel_->noteLatency(config_.llcHitLatency);
+                    llcHit();
                     continue;
                 }
-                if (two_lm) {
-                    single(ch_idx, ll, MemRequestKind::LlcRead, pool);
-                    if (lr.evictedDirty)
-                        issueFast(MemRequestKind::LlcWrite, lr.victim, tid);
-                } else {
+                if (coalesce) {
                     if (!run_lines)
                         run_local = ll;
                     ++run_lines;
-                    if (lr.evictedDirty) {
+                    if (lr.evictedDirty)
                         flush_run();
-                        issueFast(MemRequestKind::LlcWrite, lr.victim, tid);
-                    }
+                } else {
+                    issueAt(ch_idx, ll, pool, MemRequestKind::LlcRead,
+                            thread, true);
                 }
+                if (lr.evictedDirty)
+                    issue(MemRequestKind::LlcWrite, lr.victim, thread);
             }
             flush_run();
         }
@@ -601,10 +585,9 @@ MemorySystem::dmaCopy(Addr dst, Addr src, Bytes bytes)
         // invalidating its copy of the destination (like an NT store).
         // DMA traffic is not CPU demand: no latency work is charged;
         // engine occupancy is accounted instead.
-        issueToImc(MemRequestKind::LlcRead, s, 0, /*charge_demand=*/false);
+        issue(MemRequestKind::LlcRead, s, 0, /*charge_demand=*/false);
         llc_.invalidateLine(d);
-        issueToImc(MemRequestKind::LlcWrite, d, 0,
-                   /*charge_demand=*/false);
+        issue(MemRequestKind::LlcWrite, d, 0, /*charge_demand=*/false);
         epochDemandBytes_ += kLineSize;
         epochDmaBytes_ += 2 * kLineSize;
         maybeFinishEpoch();
@@ -659,11 +642,8 @@ MemorySystem::onTxComplete(unsigned ch_idx, const Transaction &tx,
                            const CompletionInfo &info)
 {
     const double total = info.latency.total();
-    if (tx.kind == TransactionKind::Read && tx.chargeDemand) {
-        epochLatencyWork_ += total;
-        if (tel_)
-            tel_->noteLatency(total);
-    }
+    if (tx.kind == TransactionKind::Read && tx.chargeDemand)
+        chargeLatency(total);
     if (tx.tag < 0)
         return;
     // Append what the request actually waited for at the controller to
@@ -826,9 +806,8 @@ MemorySystem::finishEpoch()
 void
 MemorySystem::quiesce()
 {
-    llc_.flush([this](Addr line) {
-        issueToImc(MemRequestKind::LlcWrite, line, 0);
-    });
+    llc_.flush(
+        [this](Addr line) { issue(MemRequestKind::LlcWrite, line, 0); });
     for (auto &ch : channels_)
         ch.drainBuffers();
     finishEpoch();

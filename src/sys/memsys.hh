@@ -62,12 +62,11 @@ struct Region
 
 /**
  * One demand access, as submit() consumes it: a thread's operation
- * over a byte range, split into 64 B lines by the engine. The single
- * unit of work for every access engine — per-line reference, batched,
- * queued — so callers never choose an engine by method name. A batch
- * may be a 4 B graph element or a whole DNN tensor chunk; a batch that
- * covers one line takes the batched engine's one-line path, a longer
- * one its segmented range path.
+ * over a byte range, split into 64 B lines. The single unit of work
+ * whatever the controller, observer or reference toggle, so callers
+ * never choose a path by method name. A batch may be a 4 B graph
+ * element or a whole DNN tensor chunk; a batch that covers one line
+ * takes the one-line path, a longer one the segmented range path.
  */
 struct AccessBatch
 {
@@ -109,36 +108,33 @@ class MemorySystem
     ///@{
     /**
      * THE demand entry point: walk the run of consecutive lines
-     * covering [addr, addr + size). The engine behind it is chosen
-     * here, not by the caller. The batched engine serves identity and
-     * demand-paged (scatterPages) address spaces alike: a one-line
-     * batch takes an inline path (LLC, translate, route, one device
-     * request), a longer one is cut into page/chunk/pool segments. The
-     * per-line reference loop runs whenever an observer is attached or
-     * batching is disabled via setBatchedAccess() — the two are
-     * bit-identical where they overlap, including the order in which
-     * first-touch page frames are allocated. DRAM refresh needs no
-     * per-request hook and runs on either engine. The queued
-     * controller keeps the batched engine but takes every line
-     * through the one-line path, so each request gets its own
-     * arrival: its analytic service cost becomes a
-     * Transaction enqueued at the channel and its latency emerges from
-     * queue occupancy at the epoch drain.
+     * covering [addr, addr + size), on identity and demand-paged
+     * (scatterPages) address spaces alike. A one-line batch takes an
+     * inline path (LLC, translate, route, one device request); a
+     * longer one is cut into page/chunk/pool segments whose lines
+     * issue in the per-line loop's order, first-touch frame
+     * allocation included. Every device request goes through one
+     * issue function, observed or not and queued or not: an attached
+     * observer gets its per-request hooks there, and the queued
+     * controller turns each request's analytic service cost into a
+     * Transaction whose latency emerges from queue occupancy at the
+     * epoch drain. Only 1LM misses with neither an observer nor the
+     * queued controller coalesce into bulk device runs. DRAM refresh
+     * needs no per-request hook.
      */
     void submit(const AccessBatch &batch);
 
     /**
      * One already line-aligned line: the same body as a one-line
-     * submit(), under the same engine choice.
+     * submit().
      */
     void touchLine(unsigned thread, CpuOp op, Addr line_addr);
 
     /**
-     * Select the engine behind submit() and touchLine() at runtime:
-     * batched (default) or the reference per-line loop. Both produce
-     * bit-identical results, scattered pages included; the toggle
-     * exists for the equivalence tests and the benches' --per-line
-     * flag.
+     * Select the range path (default) or the reference per-line loop
+     * behind submit() at runtime. Both produce bit-identical results,
+     * observed outputs and scattered pages included; the toggle exists
+     * for the equivalence tests and the benches' --per-line flag.
      */
     void setBatchedAccess(bool on) { batched_ = on; }
     bool batchedAccess() const { return batched_; }
@@ -211,11 +207,10 @@ class MemorySystem
      * Attach a telemetry collector (obs/telemetry/telemetry.hh): at
      * every epoch boundary it receives the per-channel counter blocks,
      * and every demand request's latency feeds its percentile sketch.
-     * Unlike attachObserver() this does NOT force the per-line access
-     * engine — the batched engine reports identical bulk latencies —
-     * so telemetry collection keeps full sweep performance. Closes the
-     * open epoch first so the collector starts on a clean boundary.
-     * Not owned; must outlive the system or be detached first.
+     * A coalesced 1LM run reports its latencies in one bulk call that
+     * lands in the same buckets as per-line calls. Closes the open
+     * epoch first so the collector starts on a clean boundary. Not
+     * owned; must outlive the system or be detached first.
      */
     void attachTelemetry(obs::TelemetryRun *telemetry);
     void detachTelemetry() { tel_ = nullptr; }
@@ -253,13 +248,39 @@ class MemorySystem
     ///@}
 
   private:
+    /** Add @p n demand latencies of @p lat to the epoch (and telemetry). */
+    void chargeLatency(double lat, std::uint64_t n = 1);
+
+    /** An LLC hit: charge its latency and tell the observer. */
+    void llcHit();
+
     /**
-     * Route one line-sized LLC request to its channel.
+     * Translate and route one line-sized controller request, then
+     * issueAt() it.
      * @param charge_demand account the request's latency against the
      *        CPU demand model (false for DMA-engine traffic)
      */
-    void issueToImc(MemRequestKind kind, Addr line_addr, unsigned thread,
-                    bool charge_demand = true);
+    void issue(MemRequestKind kind, Addr line_addr, unsigned thread,
+               bool charge_demand = true);
+
+    /**
+     * The one issue function: hand a request to its already routed
+     * channel. Unobserved it calls ChannelController::handleFast();
+     * observed, issueObserved(). The latency is then charged as demand
+     * or, queued, enqueued.
+     */
+    void issueAt(unsigned ch_idx, Addr local, MemPool pool,
+                 MemRequestKind kind, unsigned thread, bool charge_demand);
+
+    /**
+     * issueAt()'s observed branch, out of line: the full
+     * ChannelController::handle() plus the per-request observer and
+     * causal hooks. Returns the analytic latency; sets @p tag to the
+     * txCausal_ slot of a sampled queued request.
+     */
+    double issueObserved(unsigned ch_idx, Addr local, MemPool pool,
+                         MemRequestKind kind, unsigned thread,
+                         bool charge_demand, std::int32_t &tag);
 
     /**
      * Queued controller: enqueue one device request that the channel
@@ -271,39 +292,24 @@ class MemorySystem
                    double service, unsigned thread, bool charge_demand,
                    std::int32_t tag = -1);
 
-    /** submit() and touchLine() must take the per-line reference. */
-    bool referenceEngine() const { return !batched_ || obs_; }
-
     /**
-     * One demand line, the body both engines share: LLC, then the
-     * device request of a miss, an NT store or a dirty victim, then
-     * the epoch check. @p Fast issues through issueFast(); otherwise
-     * through issueToImc() with every per-request hook.
+     * One demand line, the body of the per-line loop and the one-line
+     * path: LLC, then the device request of a miss, an NT store or a
+     * dirty victim, then the epoch check.
      */
-    template <bool Fast>
     void accessLine(unsigned thread, CpuOp op, Addr line_addr);
 
     /**
-     * Batched engine's one-line device request: translate, route and
-     * ChannelController::handleFast(), charging the latency as demand
-     * (or, queued, enqueueing it). No MemRequest or AccessResult.
-     */
-    void issueFast(MemRequestKind kind, Addr line_addr,
-                   std::uint16_t thread);
-
-    /**
-     * Batched engine behind submit(): @p lines consecutive lines from
-     * @p first, guaranteed not to cross an epoch boundary. Only called
-     * when no observer is attached and the queued controller is off
-     * (queued submits go line by line). Segments the run by virtual
-     * page (one translate() per segment, which allocates a
-     * first-touched frame exactly where the per-line loop's first miss
-     * would), then by
-     * physical interleave chunk and pool, and executes every LLC
-     * outcome (device single, coalesced 1LM device run, dirty-victim
-     * writeback, LLC hit) against the channels at once, accumulating
-     * latency in the per-line loop's order. Dirty victims are LLC
-     * (virtual) addresses and are translated before routing.
+     * The range path behind submit(): @p lines consecutive lines from
+     * @p first, guaranteed not to cross an epoch boundary. Segments
+     * the run by virtual page (one translate() per segment, which
+     * allocates a first-touched frame exactly where the per-line
+     * loop's first miss would), then by physical interleave chunk and
+     * pool, and issues each line's device request on the segment's
+     * channel in the per-line loop's order. 1LM misses coalesce into
+     * one device run only when neither the queued controller nor an
+     * observer needs them one by one. Dirty victims are LLC (virtual)
+     * addresses and are translated before routing.
      */
     void fastRange(unsigned thread, CpuOp op, Addr first,
                    std::uint64_t lines);
@@ -447,7 +453,7 @@ class MemorySystem
     };
 
     bool recordTrace_ = true;
-    bool batched_;  //!< submit() engine (see setBatchedAccess)
+    bool batched_;  //!< range path, else per-line (setBatchedAccess)
     InterleaveMap imap_;
     TimeSeries trace_;
     obs::Observer *obs_ = nullptr;  //!< optional, not owned

@@ -8,12 +8,15 @@
  * amplification), the page frames assigned on first touch, and the
  * accumulated simulated time (an exact floating-point comparison,
  * since the batched path is required to add per-line latencies in the
- * reference order).
+ * reference order). Observed cases attach an Observer with causal
+ * tracing to both systems: the range path must then feed it exactly
+ * the stats and blame trees the per-line loop does.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,6 +24,8 @@
 #include "dnn/executor.hh"
 #include "dnn/networks.hh"
 #include "kernels/kernels.hh"
+#include "obs/causal.hh"
+#include "obs/observer.hh"
 #include "obs/telemetry/telemetry.hh"
 
 using namespace nvsim;
@@ -76,6 +81,36 @@ pageFrames(MemorySystem &sys, const Region &r)
     return frames;
 }
 
+/**
+ * Attach @p o to @p sys with causal tracing at sample period 3, so
+ * sampled and unsampled requests interleave.
+ */
+void
+watch(MemorySystem &sys, obs::Observer &o)
+{
+    obs::CausalOptions opts;
+    opts.samplePeriod = 3;
+    o.enableCausal(opts);
+    sys.attachObserver(&o);
+}
+
+std::string
+causalJson(const obs::Observer &o)
+{
+    std::ostringstream os;
+    o.causal()->dumpJson(os);
+    return os.str();
+}
+
+/** The two observers saw the same requests, hooks and blame trees. */
+void
+expectSameObservations(obs::Observer &batched, obs::Observer &per_line)
+{
+    EXPECT_GT(batched.causal()->sampled(), 0u);
+    EXPECT_EQ(batched.statsJson(), per_line.statsJson());
+    EXPECT_EQ(causalJson(batched), causalJson(per_line));
+}
+
 /** Assert two systems are observably identical, field by field. */
 void
 expectIdentical(MemorySystem &batched, MemorySystem &per_line)
@@ -126,7 +161,7 @@ const KernelCase kKernelCases[] = {
 };
 
 void
-runGrid(const SystemConfig &cfg)
+runGrid(const SystemConfig &cfg, bool observed = false)
 {
     for (const KernelCase &kc : kKernelCases) {
         for (AccessPattern pattern :
@@ -141,12 +176,18 @@ runGrid(const SystemConfig &cfg)
 
                 SCOPED_TRACE(std::string(kc.name) + " " +
                              accessPatternName(pattern) + " gran " +
-                             std::to_string(gran));
+                             std::to_string(gran) +
+                             (observed ? " observed" : ""));
 
+                obs::Observer obs_batched, obs_per_line;
                 MemorySystem batched(cfg);
                 MemorySystem per_line(cfg);
                 ASSERT_TRUE(batched.batchedAccess());
                 per_line.setBatchedAccess(false);
+                if (observed) {
+                    watch(batched, obs_batched);
+                    watch(per_line, obs_per_line);
+                }
                 std::vector<Addr> frames[2];
                 for (MemorySystem *sys : {&batched, &per_line}) {
                     Region r = sys->allocateIn(MemPool::Nvram, 4 * kMiB,
@@ -156,6 +197,8 @@ runGrid(const SystemConfig &cfg)
                 }
                 expectIdentical(batched, per_line);
                 EXPECT_EQ(frames[0], frames[1]);
+                if (observed)
+                    expectSameObservations(obs_batched, obs_per_line);
                 if (cfg.maintenance.enabled()) {
                     EXPECT_GT(batched.counters().refreshSlots, 0u);
                 }
@@ -172,6 +215,8 @@ TEST(AccessRangeEquivalence, OneLmKernelGrid)
     // Refresh runs on the batched engine: its per-epoch REF slots and
     // stall must match the per-line loop's.
     runGrid(refreshConfig(MemoryMode::OneLm));
+    // Observed: no 1LM run coalesces, every line gets its hooks.
+    runGrid(config(MemoryMode::OneLm), true);
 }
 
 TEST(AccessRangeEquivalence, TwoLmKernelGrid)
@@ -179,6 +224,7 @@ TEST(AccessRangeEquivalence, TwoLmKernelGrid)
     runGrid(config(MemoryMode::TwoLm));
     // With refresh on, every DRAM cache probe pays the refresh stall.
     runGrid(refreshConfig(MemoryMode::TwoLm));
+    runGrid(config(MemoryMode::TwoLm), true);
 }
 
 TEST(AccessRangeEquivalence, OneLmScatteredKernelGrid)
@@ -193,17 +239,19 @@ TEST(AccessRangeEquivalence, TwoLmScatteredKernelGrid)
 
 TEST(AccessRangeEquivalence, QueuedKernelsMatchPerLine)
 {
-    // Under the queued controller the lean engine takes multi-line
+    // Under the queued controller the range path issues multi-line
     // submits line by line, each line its own arrival: counters, the
     // clock and the queue-aware latency distribution must equal the
-    // per-line reference's, in 2LM and in 1LM (no coalesced run).
+    // per-line reference's, in 2LM and in 1LM (no coalesced run), and
+    // so must an observer's stats and its queue-aware blame trees.
     for (MemoryMode mode : {MemoryMode::TwoLm, MemoryMode::OneLm}) {
         SystemConfig cfg = config(mode);
         cfg.controller.scheduler = "frfcfs";
         cfg.controller.offeredGBs = 8;
         for (const KernelCase &kc : kKernelCases) {
+          for (bool observed : {false, true}) {
             SCOPED_TRACE(std::string(memoryModeName(mode)) + " " +
-                         kc.name);
+                         kc.name + (observed ? " observed" : ""));
             KernelConfig k;
             k.op = kc.op;
             k.nontemporal = kc.nontemporal;
@@ -211,9 +259,14 @@ TEST(AccessRangeEquivalence, QueuedKernelsMatchPerLine)
             k.granularity = 256;
             k.threads = 6;
 
+            obs::Observer obs_batched, obs_per_line;
             MemorySystem batched(cfg);
             MemorySystem per_line(cfg);
             per_line.setBatchedAccess(false);
+            if (observed) {
+                watch(batched, obs_batched);
+                watch(per_line, obs_per_line);
+            }
             obs::TelemetryOptions topts;
             topts.windowSeconds = 1e-4;
             obs::TelemetryRun tel_batched("batched", topts);
@@ -236,6 +289,9 @@ TEST(AccessRangeEquivalence, QueuedKernelsMatchPerLine)
                       tel_per_line.quantileNs(0.50));
             EXPECT_EQ(tel_batched.quantileNs(0.99),
                       tel_per_line.quantileNs(0.99));
+            if (observed)
+                expectSameObservations(obs_batched, obs_per_line);
+          }
         }
     }
 }
@@ -383,6 +439,8 @@ struct RunDigest
     std::vector<std::string> traceNames;
     std::vector<Sample> traceSamples;
     std::vector<Addr> frames;  //!< pageFrames() of every region
+    std::string stats;   //!< observed runs: the stats JSON
+    std::string causal;  //!< observed runs: the causal JSON
 };
 
 RunDigest
@@ -422,6 +480,8 @@ expectIdentical(const RunDigest &a, const RunDigest &b)
         EXPECT_EQ(a.traceSamples[i].value, b.traceSamples[i].value);
     }
     EXPECT_EQ(a.frames, b.frames);
+    EXPECT_EQ(a.stats, b.stats);
+    EXPECT_EQ(a.causal, b.causal);
 }
 
 /**
@@ -429,23 +489,28 @@ expectIdentical(const RunDigest &a, const RunDigest &b)
  * copy, over epochs small enough that every call crosses boundaries.
  * In 1LM a NUMA-spill region then takes loads and NT stores across
  * the DRAM/NVRAM pool boundary. @p cfg picks the mode and the page
- * map.
+ * map; @p observed attaches a causal-tracing observer.
  */
 RunDigest
-driveMixed(SystemConfig cfg, bool per_line)
+driveMixed(SystemConfig cfg, bool per_line, bool observed = false)
 {
     cfg.epochBytes = 64 * kKiB;
+    obs::Observer watcher;
     MemorySystem sys(cfg);
     if (per_line)
         sys.setBatchedAccess(false);
+    if (observed)
+        watch(sys, watcher);
     Region a = sys.allocate(768 * kKiB, "a");
     Region b = sys.allocate(256 * kKiB, "b");
     sys.setActiveThreads(4);
     sys.submit({0, CpuOp::Load, a.base, a.size});
     sys.submit({1, CpuOp::Store, b.base, b.size});
-    // Re-touch a prefix: LLC hits interleave with misses, so the hit
+    // Re-touch a prefix, then store to its last lines, which the LLC
+    // still holds: hits, dirty victims and misses interleave, so the
     // latencies must accumulate in the per-line order.
     sys.submit({0, CpuOp::Load, a.base, 96 * kKiB});
+    sys.submit({1, CpuOp::Store, a.base + 92 * kKiB, 8 * kKiB});
     sys.submit({2, CpuOp::NtStore, a.base + 128 * kKiB, 128 * kKiB});
     sys.dmaCopy(b.base, a.base, 32 * kKiB);
     sys.submit({3, CpuOp::Load, b.base, b.size});
@@ -460,7 +525,17 @@ driveMixed(SystemConfig cfg, bool per_line)
         regions.push_back({"tail", end - 384 * kKiB, 384 * kKiB});
     }
     sys.quiesce();
-    return digest(sys, regions);
+    RunDigest d = digest(sys, regions);
+    if (observed) {
+        // The sampler sees every controller request but the DMA
+        // engine's two per copied line.
+        EXPECT_EQ(watcher.causal()->demands(),
+                  sys.counters().demand() - 2 * 32 * kKiB / kLineSize);
+        EXPECT_GT(watcher.causal()->llcHits(), 0u);
+        d.stats = watcher.statsJson();
+        d.causal = causalJson(watcher);
+    }
+    return d;
 }
 
 } // namespace
@@ -471,6 +546,8 @@ TEST(AccessRangeEquivalence, TwoLmMixedDriveMatchesPerLine)
     EXPECT_FALSE(batched.traceSamples.empty());
     expectIdentical(batched,
                     driveMixed(config(MemoryMode::TwoLm), true));
+    expectIdentical(driveMixed(config(MemoryMode::TwoLm), false, true),
+                    driveMixed(config(MemoryMode::TwoLm), true, true));
 }
 
 TEST(AccessRangeEquivalence, OneLmMixedDriveMatchesPerLine)
@@ -486,6 +563,10 @@ TEST(AccessRangeEquivalence, OneLmMixedDriveMatchesPerLine)
     EXPECT_NE(refreshed.now, batched.now);
     expectIdentical(refreshed,
                     driveMixed(refreshConfig(MemoryMode::OneLm), true));
+    // Observed: the DMA copy, NT stores and pool spill feed the
+    // observer the same hooks on either path.
+    expectIdentical(driveMixed(config(MemoryMode::OneLm), false, true),
+                    driveMixed(config(MemoryMode::OneLm), true, true));
 }
 
 TEST(AccessRangeEquivalence, ScatteredMixedDriveMatchesPerLine)

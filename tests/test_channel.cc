@@ -169,18 +169,6 @@ TEST(ChannelEpochTime, MissHandlerBoundsTwoLmMissStreams)
     EXPECT_NEAR(ch.epochTime(e), expect, expect * 1e-9);
 }
 
-TEST(Channel, ResetClearsStateAndCounters)
-{
-    ChannelController ch(tinyParams(), MemoryMode::TwoLm);
-    ch.handle(writeReq(0), MemPool::Nvram);
-    ch.reset();
-    EXPECT_EQ(ch.counters().demand(), 0u);
-    EXPECT_FALSE(ch.cache().resident(0));
-    // A re-read is a compulsory miss again.
-    AccessResult r = ch.handle(readReq(0), MemPool::Nvram);
-    EXPECT_EQ(r.outcome, CacheOutcome::MissClean);
-}
-
 TEST(Channel, ModeNames)
 {
     EXPECT_STREQ(memoryModeName(MemoryMode::OneLm), "1LM");

@@ -169,19 +169,6 @@ TEST(DramCache, DirtyBitClearedOnRefill)
     EXPECT_EQ(r.outcome, CacheOutcome::MissClean);
 }
 
-TEST(DramCache, InvalidateAllDropsEverything)
-{
-    DramCache cache(tinyParams(DdoMode::RecentTracker));
-    cache.read(0);
-    cache.write(64);
-    cache.invalidateAll();
-    EXPECT_FALSE(cache.resident(0));
-    EXPECT_FALSE(cache.resident(64));
-    // DDO knowledge must not survive the invalidation.
-    CacheResult r = cache.write(0);
-    EXPECT_NE(r.outcome, CacheOutcome::DdoHit);
-}
-
 TEST(DramCache, DistinctSetsDoNotConflict)
 {
     DramCache cache(tinyParams());

@@ -287,18 +287,6 @@ TEST(BypassPolicy, ThresholdOneMatchesStock)
     }
 }
 
-TEST(BypassPolicy, InvalidateAllForgetsFrequencies)
-{
-    CachePolicyConfig cfg = configFor("bypass_selective_insert");
-    cfg.insertThreshold = 2;
-    auto base = makeCachePolicy(tinyParams(), cfg);
-    auto *policy = static_cast<BypassSelectiveInsertPolicy *>(base.get());
-    policy->read(0);
-    EXPECT_EQ(policy->missCount(0), 1u);
-    policy->invalidateAll();
-    EXPECT_EQ(policy->missCount(0), 0u);
-}
-
 // --- SystemConfig JSON round trip ----------------------------------------
 
 TEST(ConfigJson, RoundTripPreservesEveryField)

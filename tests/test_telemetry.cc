@@ -502,8 +502,7 @@ TEST(TelemetryEndToEnd, CollectionDoesNotPerturbTheSimulation)
 
 TEST(TelemetryEndToEnd, BatchedAndPerLineEnginesAgree)
 {
-    // Telemetry keeps the batched engine (unlike an Observer); the
-    // bulk noteLatency path must land every latency in the same
+    // The bulk noteLatency path must land every latency in the same
     // buckets the per-line engine produces.
     auto collect = [](bool batched) {
         auto run = std::make_unique<obs::TelemetryRun>(

@@ -339,12 +339,11 @@ ChannelTxQueue::enqueue(const Transaction &tx)
     while (!willAccept(tx.kind))
         issue(nextPick());  // backpressure: arrival waits as queue latency
 
-    QueuedTx q;
-    q.tx = tx;
-    q.seq = seq_++;
-    bankRowOf(tx.addr, q.bank, q.row);
-    q.drainStalled = draining_;
-    (tx.kind == TransactionKind::Read ? reads_ : writes_).push(q);
+    std::uint32_t bank;
+    std::uint64_t row;
+    bankRowOf(tx.addr, bank, row);
+    (tx.kind == TransactionKind::Read ? reads_ : writes_)
+        .push(tx, seq_++, bank, row, draining_);
 
     stats_.maxReadDepth = std::max(
         stats_.maxReadDepth, static_cast<std::uint32_t>(reads_.size()));

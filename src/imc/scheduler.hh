@@ -132,13 +132,23 @@ class TxAgeQueue
     QueuedTx &operator[](std::size_t i) { return slots_[at(i)]; }
     const QueuedTx &front() const { return slots_[head_]; }
 
-    /** Append @p q as the youngest; stamps its arrival bookkeeping. */
+    /**
+     * Append @p tx as the youngest, built in its slot (a stack copy
+     * of the 72-byte entry stalls on store forwarding); stamps its
+     * arrival bookkeeping.
+     */
     void
-    push(QueuedTx q)
+    push(const Transaction &tx, std::uint64_t seq, std::uint32_t bank,
+         std::uint64_t row, bool drain_stalled)
     {
+        QueuedTx &q = slots_[at(size_)];
+        q.tx = tx;
+        q.seq = seq;
+        q.row = row;
+        q.bank = bank;
         q.depthAtEnqueue = static_cast<std::uint32_t>(size_);
         q.picksAtEnqueue = picks_;
-        slots_[at(size_)] = q;
+        q.drainStalled = drain_stalled;
         ++size_;
     }
 

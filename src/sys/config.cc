@@ -4,6 +4,7 @@
 
 #include "core/logging.hh"
 #include "imc/dram_cache.hh"
+#include "sys/llc.hh"
 
 namespace nvsim
 {
@@ -57,6 +58,9 @@ SystemConfig::validate() const
         fatal("cacheWays must be at least 1");
     if (interleaveGranularity == 0)
         fatal("interleaveGranularity must be nonzero");
+    if (llcWays > Llc::kMaxWays)
+        fatal("llcWays (%u) exceeds the LLC recency word's limit of %u "
+              "ways", llcWays, Llc::kMaxWays);
     if (scaledDramPerDimm() < 64 * kLineSize)
         fatal("scaled DRAM DIMM too small (%llu B); lower the scale",
               static_cast<unsigned long long>(scaledDramPerDimm()));

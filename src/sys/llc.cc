@@ -1,163 +1,184 @@
 #include "sys/llc.hh"
 
+#include <algorithm>
 #include <bit>
-#include <limits>
 
 #include "core/logging.hh"
 
 namespace nvsim
 {
 
+namespace
+{
+
+constexpr std::uint64_t kNibbleOnes = 0x1111111111111111ull;
+
+/** The ranks below @p n of a recency word (n <= 16). */
+std::uint64_t
+below(unsigned n)
+{
+    return n >= 16 ? ~std::uint64_t{0} : (std::uint64_t{1} << 4 * n) - 1;
+}
+
+/**
+ * Rank of @p way in recency word @p order. A nibble equal to @p way
+ * becomes zero in x, and the lowest zero nibble of x is the lowest set
+ * flag of the classic has-zero test (a false flag needs a borrow from
+ * a zero nibble below it). Unused nibbles above the ways hold 0 and
+ * may match too, but only above the way's real rank.
+ */
+unsigned
+rankOf(std::uint64_t order, unsigned way)
+{
+    const std::uint64_t x = order ^ (way * kNibbleOnes);
+    return std::countr_zero((x - kNibbleOnes) & ~x & (kNibbleOnes << 3)) / 4;
+}
+
+} // namespace
+
 Llc::Llc(const LlcParams &params)
     : ways_(params.ways ? params.ways : 1),
-      numSets_(params.capacity / kLineSize / ways_)
+      numSets_(std::max<std::uint64_t>(params.capacity / kLineSize / ways_,
+                                       1)),
+      lines_(numSets_ * ways_), sets_(numSets_), mruShift_(4 * (ways_ - 1))
 {
-    if (numSets_ == 0)
-        numSets_ = 1;
-    const std::uint64_t lines = numSets_ * ways_;
-    if (lines > std::numeric_limits<std::uint32_t>::max())
-        fatal("LLC of %llu lines exceeds the 2^32-line limit",
-              static_cast<unsigned long long>(lines));
-    if (std::has_single_bit(numSets_)) {
-        setMask_ = numSets_ - 1;
-        setShift_ = std::countr_zero(numSets_);
-    }
-    ways_store_.assign(lines, Way{});
-    runWays_.assign(lines, 0);
+    if (ways_ > kMaxWays)
+        fatal("LLC of %u ways exceeds the %u-way limit of its recency "
+              "word", ways_, kMaxWays);
+    for (unsigned r = 0; r < ways_; ++r)
+        identity_ |= std::uint64_t{r} << 4 * r;
+    tags_.assign(lines_, kInvalidTag);
+    order_.assign(numSets_, identity_);
 }
 
 LlcResult
 Llc::access(Addr addr, bool is_store)
 {
     const std::uint64_t idx = lineIndex(addr);
-    if (idx == runNext_ && runLen_ == runWays_.size())
-        return streamMiss(idx, is_store);
-    if (idx + 1 == runNext_)
-        return repeatHit(is_store);
-
-    std::uint64_t set, tag;
-    splitIndex(idx, set, tag);
-    Way *base = &ways_store_[set * ways_];
-
-    // One pass finds the hit and, failing that, the replacement
-    // victim: the first way with the lowest stamp. An empty way holds
-    // stamp 0, below every live one, so this is the first invalid way,
-    // else the first least-recently-used. Which way holds the lowest
-    // stamp follows no pattern a branch predictor could learn, so the
-    // scan selects it without branching (a branch there made graph
-    // traffic ~30% slower per line).
-    LlcResult result;
-    unsigned hit = ways_, victim = 0;
-    std::uint64_t oldest = base[0].lru;
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (base[w].tag() == tag) {
-            hit = w;
-            break;
-        }
-        const std::uint64_t lru = base[w].lru;
-        const bool older = lru < oldest;
-        oldest = older ? lru : oldest;
-        victim = older ? w : victim;
-    }
-    Way *way;
-    if (hit != ways_) {
-        way = base + hit;
-        result.hit = true;
+    const std::uint64_t dirty = std::uint64_t{is_store} << 63;
+    if (idx == cur_.idx + 1 && runLen_ == lines_)
+        return streamMiss(dirty);
+    if (idx == cur_.idx) {
+        // The run's last line is its set's MRU already.
         ++hits_;
-    } else {
-        way = base + victim;
+        tags_[cur_.way] |= dirty;
+        return {.hit = true};
+    }
+
+    // Leaving the current line: it becomes the memo, and the old memo
+    // line hits if its way still holds its tag.
+    const Line memo = memo_;
+    memo_ = cur_;
+    Line line = memo;
+    if (idx != memo.idx || (tags_[memo.way] & ~kDirtyBit) != memo.tag) {
+        line.idx = idx;
+        sets_.divmod(idx, line.tag, line.set);
+        line.way = line.set * ways_ + findWay(line.set, line.tag);
+    }
+    std::uint64_t &order = order_[line.set];
+    const std::uint64_t base = line.set * ways_;
+    unsigned w = static_cast<unsigned>(line.way - base);
+    LlcResult result;
+    if (w == ways_) {
+        // Miss: the victim is rank 0, and it rotates to MRU.
+        w = order & 0xF;
+        line.way = base + w;
+        std::uint64_t &word = tags_[line.way];
         result.missed = true;
         ++misses_;
-        if (way->dirty()) {
+        if (word & kDirtyBit) {
             result.evictedDirty = true;
             ++dirtyEvictions_;
-            result.victim = addrOf(set, way->tag());
+            result.victim = addrOf(line.set, word & ~kDirtyBit);
         }
-        way->word = tag;  // a bare tag: valid and clean
+        valid_ += word == kInvalidTag;
+        word = line.tag | dirty;
+        order = order >> 4 | std::uint64_t{w} << mruShift_;
+    } else {
+        // Hit: promote the way to MRU.
+        result.hit = true;
+        ++hits_;
+        tags_[line.way] |= dirty;
+        const std::uint64_t keep = below(rankOf(order, w));
+        order = (order & keep) | (order >> 4 & ~keep) |
+                std::uint64_t{w} << mruShift_;
     }
-    if (is_store)
-        way->word |= kDirtyBit;
-    way->lru = ++lruClock_;
 
     // Extend the run, or open a new one at this line.
-    if (idx != runNext_) {
-        runLen_ = 0;
-        runPos_ = 0;
-    }
-    runWays_[runPos_] = static_cast<std::uint32_t>(way - ways_store_.data());
-    if (++runPos_ == runWays_.size())
-        runPos_ = 0;
-    ++runLen_;
-    runNext_ = idx + 1;
+    runLen_ = idx == cur_.idx + 1 ? runLen_ + 1 : 1;
+    cur_ = line;
     return result;
 }
 
 LlcResult
-Llc::streamMiss(std::uint64_t idx, bool is_store)
+Llc::streamMiss(std::uint64_t dirty)
 {
-    // Line idx evicts line idx - C from the way the ring remembers; it
-    // lands in the same set with a tag `ways_` higher.
-    Way &way = ways_store_[runWays_[runPos_]];
-    if (++runPos_ == runWays_.size())
-        runPos_ = 0;
-    runNext_ = idx + 1;
+    // Line i evicts line i - C, its set's LRU way, one set further on.
+    ++cur_.idx;
+    if (++cur_.set == numSets_) {
+        cur_.set = 0;
+        ++cur_.tag;
+    }
+    std::uint64_t &order = order_[cur_.set];
+    const unsigned v = order & 0xF;
+    cur_.way = cur_.set * ways_ + v;
+    std::uint64_t &word = tags_[cur_.way];
 
     LlcResult result;
     result.missed = true;
     ++misses_;
-    if (way.dirty()) {
+    if (word & kDirtyBit) {
         result.evictedDirty = true;
         ++dirtyEvictions_;
-        result.victim = (idx - runWays_.size()) * kLineSize;
+        result.victim = (cur_.idx - lines_) * kLineSize;
     }
-    way.word = way.tag() + ways_;
-    if (is_store)
-        way.word |= kDirtyBit;
-    way.lru = ++lruClock_;
-    return result;
-}
-
-LlcResult
-Llc::repeatHit(bool is_store)
-{
-    const std::size_t last = (runPos_ ? runPos_ : runWays_.size()) - 1;
-    Way &way = ways_store_[runWays_[last]];
-    LlcResult result;
-    result.hit = true;
-    ++hits_;
-    if (is_store)
-        way.word |= kDirtyBit;
-    way.lru = ++lruClock_;
+    word = cur_.tag | dirty;
+    order = order >> 4 | std::uint64_t{v} << mruShift_;
     return result;
 }
 
 void
 Llc::invalidateLine(Addr addr)
 {
+    if (valid_ == 0)
+        return;
     std::uint64_t set, tag;
-    splitAddr(addr, set, tag);
-    unsigned w = findWay(set, tag);
+    sets_.divmod(lineIndex(addr), tag, set);
+    const unsigned w = findWay(set, tag);
     if (w == ways_)
         return;
-    ways_store_[set * ways_ + w] = Way{};
+    std::uint64_t *base = &tags_[set * ways_];
+    base[w] = kInvalidTag;
+    --valid_;
     ++ntInvalidates_;
-    runNext_ = kNoRun;
+    cur_.idx = kNoLine;
+
+    // Move the way from its rank into the empty prefix, after the empty
+    // ways of lower index: q <= p, so ranks q..p-1 shift up by one.
+    unsigned q = 0;
+    for (unsigned i = 0; i < w; ++i)
+        q += base[i] == kInvalidTag;
+    std::uint64_t &order = order_[set];
+    const unsigned p = rankOf(order, w);
+    order = (order & below(q)) | (order & below(p) & ~below(q)) << 4 |
+            std::uint64_t{w} << 4 * q | (order & ~below(p + 1));
 }
 
 bool
 Llc::resident(Addr addr) const
 {
     std::uint64_t set, tag;
-    splitAddr(addr, set, tag);
+    sets_.divmod(lineIndex(addr), tag, set);
     return findWay(set, tag) != ways_;
 }
 
 void
 Llc::invalidateAll()
 {
-    for (auto &way : ways_store_)
-        way = Way{};
-    runNext_ = kNoRun;
+    std::fill(tags_.begin(), tags_.end(), kInvalidTag);
+    std::fill(order_.begin(), order_.end(), identity_);
+    valid_ = 0;
+    cur_.idx = kNoLine;
 }
 
 } // namespace nvsim

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/divider.hh"
 #include "core/types.hh"
 
 namespace nvsim
@@ -24,7 +25,7 @@ namespace nvsim
 struct LlcParams
 {
     Bytes capacity = 33 * kMiB;
-    unsigned ways = 11;
+    unsigned ways = 11;  //!< at most Llc::kMaxWays
 };
 
 /** What one LLC access produced. */
@@ -39,29 +40,33 @@ struct LlcResult
 /**
  * Set-associative writeback LLC.
  *
- * Streaming misses are O(1). Take C = numSets * ways and call a *run*
- * a sequence of accesses to consecutive line indices with no other
- * LLC state change in between. C consecutive lines put exactly `ways`
- * lines in each set, all distinct, and LRU keeps a set's `ways` most
- * recently used distinct lines; so once a run is C lines long every
- * set holds exactly its last `ways` lines from the run. Line i of the
- * run then maps to the set of line i - C with a tag `ways` higher: it
- * must miss, and its victim is the set's oldest line, i - C, which
- * holds the lowest stamp. The LLC keeps a ring of the C flat way
- * indices the run's lines went into; line i takes over the slot of
- * line i - C, so the ring never changes once full. A miss in a full
- * run therefore costs no address split, no probe and no victim scan,
- * and its stamp, dirty bit, statistics and victim address are exactly
- * those the general path would produce. Repeating the run's last line
- * (a read-modify-write, or several words of one line) hits the way
- * the ring names last; the line is already its set's most recent, so
- * the repeat changes no set's LRU order and the run goes on. Any other
- * access starts a new run; invalidateLine (when it drops a line),
- * invalidateAll and flush end the current one.
+ * Each set keeps a dense array of 64-bit tag words and one recency
+ * word: nibble r names the way at recency rank r, rank 0 the least
+ * recently used. Empty ways sit at the LRU end in way-index order, so
+ * nibble 0 is the victim: the first empty way, else the LRU one. A hit
+ * moves its way to the top nibble; a miss rotates nibble 0 there.
+ * No stamp or clock exists, so nothing can wrap.
+ *
+ * Only a line not seen recently pays the address split and the tag
+ * probe. Take C = numSets * ways and call a *run* a sequence of
+ * accesses to consecutive line indices with no other LLC state change
+ * in between. Once a run is C lines long, every set holds exactly its
+ * last `ways` lines from the run (C consecutive lines give a set
+ * `ways` distinct lines, and LRU keeps the `ways` most recent), so
+ * line i must miss and its victim is line i - C at its set's rank 0.
+ * A cursor holds the run's last line as (set, tag, way) and advances
+ * by increment-and-wrap. A repeat of that line hits its way and
+ * changes no order. The line that any other access leaves becomes the
+ * memo: an access to it hits exactly when its way still holds its
+ * tag, since a way holds one line. invalidateLine (when it drops a line),
+ * invalidateAll and flush close the run.
  */
 class Llc
 {
   public:
+    /** Ways the recency word can order, one nibble each. */
+    static constexpr unsigned kMaxWays = 16;
+
     explicit Llc(const LlcParams &params);
 
     /**
@@ -92,17 +97,16 @@ class Llc
     {
         for (std::uint64_t set = 0; set < numSets_; ++set) {
             for (unsigned w = 0; w < ways_; ++w) {
-                Way &way = ways_store_[set * ways_ + w];
-                if (way.dirty())  // an empty way is never dirty
-                    writeback(addrOf(set, way.tag()));
-                way = Way{};
+                const std::uint64_t word = tags_[set * ways_ + w];
+                if (word & kDirtyBit)  // an empty way is never dirty
+                    writeback(addrOf(set, word & ~kDirtyBit));
             }
         }
-        runNext_ = kNoRun;
+        invalidateAll();
     }
 
     std::uint64_t numSets() const { return numSets_; }
-    Bytes capacity() const { return numSets_ * ways_ * kLineSize; }
+    Bytes capacity() const { return lines_ * kLineSize; }
 
     /** @name Always-on access statistics (read by the obs layer) */
     ///@{
@@ -118,7 +122,7 @@ class Llc
     ///@}
 
   private:
-    /** Dirty flag of a way's tag word. */
+    /** Dirty flag of a tag word. */
     static constexpr std::uint64_t kDirtyBit = std::uint64_t{1} << 63;
     /**
      * Tag word of an empty way (never dirty). Tags are lineIndex /
@@ -126,82 +130,53 @@ class Llc
      * of a live tag.
      */
     static constexpr std::uint64_t kInvalidTag = ~kDirtyBit;
+    /** Index of no line: neither it nor its successor is a line index. */
+    static constexpr std::uint64_t kNoLine = ~std::uint64_t{0} - 1;
 
-    /**
-     * One way in 16 bytes: the tag word (tag, dirty flag in bit 63,
-     * kInvalidTag when empty) and the LRU stamp (0 when empty; live
-     * stamps start at 1 and, 64-bit, never wrap). The hit probe
-     * compares tag words only.
-     */
-    struct Way
+    /** A line and where it was: set, tag and flat way index. */
+    struct Line
     {
-        std::uint64_t word = kInvalidTag;
-        std::uint64_t lru = 0;
-
-        std::uint64_t tag() const { return word & ~kDirtyBit; }
-        bool dirty() const { return (word & kDirtyBit) != 0; }
+        std::uint64_t idx = kNoLine;
+        std::uint64_t set = 0;
+        std::uint64_t tag = 0;
+        std::uint64_t way = 0;
     };
-
-    /** runNext_ when no run is open: no line index reaches it. */
-    static constexpr std::uint64_t kNoRun = ~std::uint64_t{0};
 
     /** Index of the way of @p set holding @p tag, or ways_ if none. */
     unsigned
     findWay(std::uint64_t set, std::uint64_t tag) const
     {
-        const Way *base = &ways_store_[set * ways_];
+        const std::uint64_t *base = &tags_[set * ways_];
         unsigned w = 0;
-        while (w < ways_ && base[w].tag() != tag)
+        while (w < ways_ && (base[w] & ~kDirtyBit) != tag)
             ++w;
         return w;
     }
 
-    /**
-     * Decompose a line index into (set, tag): shift and mask for a
-     * power-of-two set count, else one division (the compiler derives
-     * the remainder from the quotient).
-     */
-    void
-    splitIndex(std::uint64_t idx, std::uint64_t &set,
-               std::uint64_t &tag) const
-    {
-        if (setShift_ >= 0) {
-            set = idx & setMask_;
-            tag = idx >> setShift_;
-        } else {
-            tag = idx / numSets_;
-            set = idx - tag * numSets_;
-        }
-    }
-    void
-    splitAddr(Addr addr, std::uint64_t &set, std::uint64_t &tag) const
-    {
-        splitIndex(lineIndex(addr), set, tag);
-    }
     Addr
     addrOf(std::uint64_t set, std::uint64_t tag) const
     {
         return (tag * numSets_ + set) * kLineSize;
     }
 
-    /** A miss inside a full run (see the class comment). */
-    LlcResult streamMiss(std::uint64_t idx, bool is_store);
-    /** A repeat of the run's last line: a hit (see the class comment). */
-    LlcResult repeatHit(bool is_store);
+    /** A miss inside a full run; @p dirty is the new line's flag. */
+    LlcResult streamMiss(std::uint64_t dirty);
 
     unsigned ways_;
     std::uint64_t numSets_;
-    int setShift_ = -1;          //!< log2(numSets_) when a power of two
-    std::uint64_t setMask_ = 0;  //!< numSets_ - 1 when a power of two
-    std::vector<Way> ways_store_;
-    std::uint64_t lruClock_ = 0;
+    std::uint64_t lines_;  //!< C = numSets_ * ways_
+    Divider sets_;         //!< line index -> (tag, set)
+    unsigned mruShift_;    //!< bit offset of the MRU nibble
+    std::uint64_t identity_ = 0;  //!< recency word of an empty set
+    std::vector<std::uint64_t> tags_;   //!< tag words, set-major
+    std::vector<std::uint64_t> order_;  //!< recency word per set
+    std::uint64_t valid_ = 0;           //!< resident lines
 
-    /** @name The current run of consecutive lines */
+    /** @name The current run and the line before it */
     ///@{
-    std::vector<std::uint32_t> runWays_;  //!< C flat way indices, a ring
-    std::uint64_t runNext_ = kNoRun;  //!< line index that extends the run
-    std::uint64_t runLen_ = 0;        //!< run length, saturating at C
-    std::uint64_t runPos_ = 0;        //!< next ring slot
+    Line cur_;  //!< the run's last line; idx kNoLine when no run is open
+    std::uint64_t runLen_ = 0;  //!< run length, saturating at C
+    Line memo_;  //!< the line a general access last left
     ///@}
 
     std::uint64_t hits_ = 0;

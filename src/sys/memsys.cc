@@ -42,7 +42,8 @@ MemorySystem::MemorySystem(const SystemConfig &config)
     channels_.reserve(config_.totalChannels());
     for (unsigned i = 0; i < config_.totalChannels(); ++i)
         channels_.emplace_back(cp, config_.mode);
-    imap_.build(config_.interleaveGranularity, channels_.size());
+    imap_ = {Divider(config_.interleaveGranularity),
+             Divider(channels_.size())};
 
     queued_ = config_.controller.queued();
     if (queued_) {
@@ -68,11 +69,12 @@ MemorySystem::MemorySystem(const SystemConfig &config)
     if (config_.scatterPages) {
         // Each pool holds whole pages only, so every virtual page lies
         // in one pool and each pool owns exactly its pages' frames.
-        pageSize_ = config_.scaledPageBytes();
-        dramPoolSize_ -= dramPoolSize_ % pageSize_;
-        nvramPoolSize_ -= nvramPoolSize_ % pageSize_;
-        const std::size_t dram_pages = dramPoolSize_ / pageSize_;
-        const std::size_t pages = dram_pages + nvramPoolSize_ / pageSize_;
+        const Bytes page = config_.scaledPageBytes();
+        page_ = Divider(page);
+        dramPoolSize_ -= dramPoolSize_ % page;
+        nvramPoolSize_ -= nvramPoolSize_ % page;
+        const std::size_t dram_pages = dramPoolSize_ / page;
+        const std::size_t pages = dram_pages + nvramPoolSize_ / page;
         pageMap_.assign(pages, ~0u);
         auto fill = [](PagePool &pool, std::size_t first,
                        std::size_t last) {
@@ -197,14 +199,14 @@ MemorySystem::translate(Addr addr)
 {
     if (!config_.scatterPages)
         return addr;
-    std::size_t vpage = addr / pageSize_;
+    Addr vpage, offset;
+    page_.divmod(addr, vpage, offset);
     if (pageMap_[vpage] == ~0u) {
         PagePool &pool = poolOf(addr) == MemPool::Dram ? dramFrames_
                                                        : nvramFrames_;
         pageMap_[vpage] = allocFrame(pool);
     }
-    return static_cast<Addr>(pageMap_[vpage]) * pageSize_ +
-           addr % pageSize_;
+    return static_cast<Addr>(pageMap_[vpage]) * page_.divisor() + offset;
 }
 
 Region
@@ -466,7 +468,6 @@ void
 MemorySystem::fastRange(unsigned thread, CpuOp op, Addr first,
                         std::uint64_t lines)
 {
-    const Bytes gran = config_.interleaveGranularity;
     // 1LM misses of a segment may coalesce into one device run only
     // when nothing needs them one by one: a queued request needs its
     // own arrival, an observed one its own hooks.
@@ -494,14 +495,15 @@ MemorySystem::fastRange(unsigned thread, CpuOp op, Addr first,
         // line is a miss and translating it here allocates the frame
         // exactly where the per-line loop would.
         Addr seg_end = a + left * kLineSize;
-        if (pageSize_) {
-            const Addr page_end = (a / pageSize_ + 1) * pageSize_;
+        if (config_.scatterPages) {
+            const Addr page_end = (page_.quot(a) + 1) * page_.divisor();
             if (page_end < seg_end)
                 seg_end = page_end;
         }
         const Addr phys = translate(a);
         Addr phys_end = phys + (seg_end - a);
-        const Addr chunk_end = (phys / gran + 1) * gran;
+        const Addr chunk_end =
+            (imap_.gran.quot(phys) + 1) * imap_.gran.divisor();
         if (chunk_end < phys_end)
             phys_end = chunk_end;
         if (phys < dramPoolSize_ && dramPoolSize_ < phys_end)

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "core/divider.hh"
 #include "core/timeseries.hh"
 #include "imc/channel.hh"
 #include "sys/config.hh"
@@ -390,65 +391,38 @@ class MemorySystem
     PerfCounters lastSample_;       //!< counters at last epoch boundary
 
     /**
-     * Per-run cached channel-interleave routing. channelOf() and the
-     * channel-local address each cost integer divisions when computed
-     * from config_ every line; caching the granularity's log2 (when it
-     * is a power of two, the common case) and the channel count turns
-     * the per-line routing into shift/mask plus ONE division — and
-     * both engines share it, so the per-line and batched paths
-     * provably route identically. Built once, in the constructor.
+     * Per-run cached channel-interleave routing: exact dividers for
+     * the granule and the channel count, so routing a line costs no
+     * hardware divide. Both engines share it, so the per-line and
+     * batched paths provably route identically. Built once, in the
+     * constructor.
      */
     struct InterleaveMap
     {
-        Addr gran = 1;
-        Addr granMask = 0;
-        int granShift = -1;  //!< >= 0 iff gran is a power of two
-        std::size_t nChannels = 1;
-
-        void
-        build(Addr granularity, std::size_t n_channels)
-        {
-            gran = granularity ? granularity : 1;
-            nChannels = n_channels ? n_channels : 1;
-            granShift = -1;
-            granMask = 0;
-            if ((gran & (gran - 1)) == 0) {
-                granMask = gran - 1;
-                granShift = 0;
-                while ((Addr{1} << granShift) != gran)
-                    ++granShift;
-            }
-        }
+        Divider gran;
+        Divider channels;
 
         /** Channel serving @p phys. */
         unsigned
         channel(Addr phys) const
         {
-            const Addr chunk =
-                granShift >= 0 ? phys >> granShift : phys / gran;
-            return static_cast<unsigned>(chunk % nChannels);
+            return static_cast<unsigned>(channels.rem(gran.quot(phys)));
         }
 
         /**
-         * Channel plus channel-local address. Pow2 path: one udiv
-         * (quotient and remainder of chunk / nChannels come from the
-         * same division); local = floor(chunk / n) * gran + offset,
-         * identical to the historical
-         * (phys / (gran * n)) * gran + phys % gran
-         * by the nested floor-division identity.
+         * Channel plus channel-local address:
+         * local = floor(chunk / n) * gran + offset, identical to the
+         * historical (phys / (gran * n)) * gran + phys % gran by the
+         * nested floor-division identity.
          */
         unsigned
         route(Addr phys, Addr &local) const
         {
-            if (granShift >= 0) {
-                const Addr chunk = phys >> granShift;
-                const Addr q = chunk / nChannels;
-                local = (q << granShift) | (phys & granMask);
-                return static_cast<unsigned>(chunk - q * nChannels);
-            }
-            const Addr chunk = phys / gran;
-            local = (chunk / nChannels) * gran + phys % gran;
-            return static_cast<unsigned>(chunk % nChannels);
+            Addr chunk, offset, q, ch;
+            gran.divmod(phys, chunk, offset);
+            channels.divmod(chunk, q, ch);
+            local = q * gran.divisor() + offset;
+            return static_cast<unsigned>(ch);
         }
     };
 
@@ -475,7 +449,7 @@ class MemorySystem
         std::vector<std::uint32_t> frames;  //!< shuffled lazily
         std::size_t next = 0;               //!< frames consumed
     };
-    Bytes pageSize_ = 0;  //!< scaled page; 0 without scatterPages
+    Divider page_;  //!< scaled page (with scatterPages)
     std::vector<std::uint32_t> pageMap_;  //!< ~0u = unmapped
     PagePool dramFrames_;
     PagePool nvramFrames_;

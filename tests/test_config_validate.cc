@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "sys/config.hh"
+#include "sys/llc.hh"
 
 namespace
 {
@@ -116,6 +117,21 @@ TEST(ConfigValidateDeathTest, RejectsTagsBeyondTheTagWord)
     // The same geometry is fine in 1LM, which has no DRAM cache.
     cfg.mode = MemoryMode::OneLm;
     cfg.validate();
+}
+
+TEST(ConfigValidateDeathTest, RejectsLlcWiderThanTheRecencyWord)
+{
+    // The LLC orders each set's ways in one 64-bit word, a nibble each.
+    SystemConfig cfg = okConfig();
+    cfg.llcWays = 16;
+    cfg.validate();
+    cfg.llcWays = 17;
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "llcWays \\(17\\) exceeds the LLC recency word's limit of "
+                "16 ways");
+    // A directly built Llc refuses the same geometry.
+    EXPECT_EXIT({ Llc llc(LlcParams{kMiB, 17}); },
+                ::testing::ExitedWithCode(1), "16-way limit");
 }
 
 TEST(ConfigValidateDeathTest, RejectsZeroMlp)

@@ -1,14 +1,18 @@
 /**
  * @file
- * Differential fuzzer for the LLC: the production Llc (O(1) misses
- * inside a run of consecutive lines, one-pass probe) against the
- * stamp-scanning LLC it replaced (ref/stamp_llc.hh). Each seeded case
- * draws 1-16 ways and 1-20 sets (powers of two and not), then streams
- * runs of consecutive lines up to three capacities long — loads,
- * stores, a mix or read-modify-writes — broken at random by single
- * accesses, repeats of the last line, invalidateLine, invalidateAll
- * and flush calls. After every call the LlcResult, the four counters
- * and, for flush, the order of the writebacks must match.
+ * Differential fuzzer for the LLC: the production Llc (recency word,
+ * O(1) misses inside a run of consecutive lines, previous-line memo)
+ * against the stamp-scanning LLC it replaced (ref/stamp_llc.hh). Each
+ * seeded case draws 1-16 ways and 1-20 sets (powers of two and not).
+ * Run cases stream runs of consecutive lines up to three capacities
+ * long — loads, stores, a mix or read-modify-writes — broken at random
+ * by single accesses, repeats of the last line, invalidateLine,
+ * invalidateAll and flush calls. Edge-list cases walk neighbour lists
+ * the way a graph kernel does: each edge line is read once per edge,
+ * with single accesses to a small working set of property lines in
+ * between, so most edge reads return to the line before the current
+ * one. After every call the LlcResult, the four counters and, for
+ * flush, the order of the writebacks must match.
  */
 
 #include <gtest/gtest.h>
@@ -199,12 +203,89 @@ fuzzCase(std::uint64_t seed)
     ASSERT_TRUE(t.flush());
 }
 
+/**
+ * Edge-list case @p seed: neighbour lists of edge lines, each line
+ * read `words` times, every read followed by a property access with
+ * probability 1/gap (never when gap is 0, which streams the lists).
+ * Between lists, and now and then inside one, come invalidates of a
+ * recent edge line or a property line, invalidateAll and flush.
+ */
+void
+edgeListCase(std::uint64_t seed)
+{
+    Rng rng(seed);
+    const unsigned ways = static_cast<unsigned>(between(rng, 1, 16));
+    const std::uint64_t sets = between(rng, 1, 20);
+    const std::uint64_t cap = sets * ways;
+    SCOPED_TRACE(testing::Message() << "edge-list seed " << seed << " ways "
+                                    << ways << " sets " << sets);
+    Twin t(LlcParams{cap * kLineSize, ways});
+
+    const std::uint64_t origin = rng.below(2) ? 0 : rng.below(1ull << 40);
+    // The property lines sit past the edges or overlap them.
+    const std::uint64_t props = origin + rng.below(8 * cap);
+    const std::uint64_t hot = between(rng, 1, 2 * cap);
+    const std::uint64_t words = between(rng, 1, 8);
+    const std::uint64_t gap = rng.below(4);
+    const bool stores = rng.below(3) == 0;
+    auto addrOf = [&](std::uint64_t line) {
+        return line * kLineSize + rng.below(kLineSize);
+    };
+    std::uint64_t edge = origin;
+    const unsigned lists = static_cast<unsigned>(between(rng, 1, 12));
+    for (unsigned l = 0; l < lists; ++l) {
+        if (rng.below(3) == 0)
+            edge = origin + rng.below(4 * cap);  // a list elsewhere
+        const std::uint64_t len = between(rng, 1, 2 * cap);
+        SCOPED_TRACE(testing::Message() << "list " << l << " from line "
+                                        << edge << " len " << len);
+        for (std::uint64_t i = 0; i < len; ++i, ++edge) {
+            for (std::uint64_t k = 0; k < words; ++k) {
+                ASSERT_TRUE(t.access(addrOf(edge), false));
+                if (gap && rng.below(gap) == 0) {
+                    const bool st = stores && rng.below(2) != 0;
+                    ASSERT_TRUE(t.access(addrOf(props + rng.below(hot)), st));
+                }
+                if (rng.below(64) == 0) {
+                    ASSERT_TRUE(t.invalidateLine(
+                        addrOf(rng.below(2) ? edge - rng.below(i + 1)
+                                            : props + rng.below(hot))));
+                }
+            }
+        }
+        switch (rng.below(8)) {
+          case 0:
+            t.invalidateAll();
+            ASSERT_TRUE(t.sameCounters());
+            break;
+          case 1:
+            ASSERT_TRUE(t.flush());
+            break;
+          case 2:
+            ASSERT_TRUE(t.invalidateLine(addrOf(edge - 1)));
+            break;
+          default:
+            break;
+        }
+    }
+    ASSERT_TRUE(t.flush());
+}
+
 } // namespace
 
 TEST(LlcFuzz, StreakMatchesTheStampScanReference)
 {
     for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
         fuzzCase(seed);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+}
+
+TEST(LlcFuzz, EdgeListMatchesTheStampScanReference)
+{
+    for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
+        edgeListCase(seed);
         if (::testing::Test::HasFatalFailure())
             return;
     }

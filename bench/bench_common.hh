@@ -52,34 +52,6 @@ numberArg(const std::string &value, const char *flag)
 }
 
 /**
- * Duration argument: a positive number with an optional s/ms/us/ns
- * suffix (plain numbers are seconds). Returns seconds.
- */
-inline double
-timeArg(const std::string &value, const char *flag)
-{
-    char *end = nullptr;
-    double v = std::strtod(value.c_str(), &end);
-    if (end == value.c_str())
-        fatal("%s wants a duration, got '%s'", flag, value.c_str());
-    std::string unit(end);
-    if (unit == "" || unit == "s")
-        ;  // seconds
-    else if (unit == "ms")
-        v *= 1e-3;
-    else if (unit == "us")
-        v *= 1e-6;
-    else if (unit == "ns")
-        v *= 1e-9;
-    else
-        fatal("%s: unknown duration unit '%s' (use s/ms/us/ns)", flag,
-              unit.c_str());
-    if (v <= 0)
-        fatal("%s must be positive, got '%s'", flag, value.c_str());
-    return v;
-}
-
-/**
  * Flags that cannot change any simulated result — output paths, worker
  * counts and the per-line reference loop. They are excluded from the
  * provenance manifest so the same experiment writes byte-identical
@@ -90,9 +62,9 @@ inline bool
 manifestNeutral(const char *arg)
 {
     static const char *const kNeutral[] = {
-        "--jobs=",           "--stats-json=",    "--stats-prom=",
-        "--perfetto=",       "--causal-trace=",  "--folded-stacks=",
-        "--telemetry=",      "--telemetry-json=", "--per-line",
+        "--jobs=",          "--stats-json=",     "--perfetto=",
+        "--causal-trace=",  "--folded-stacks=",  "--telemetry=",
+        "--telemetry-json=", "--per-line",
     };
     for (const char *prefix : kNeutral) {
         if (std::strncmp(arg, prefix, std::strlen(prefix)) == 0)
@@ -107,7 +79,6 @@ parseObsFlag(const char *arg, obs::SessionOptions &opts)
 {
     std::string value;
     if (matchFlag(arg, "--stats-json=", &opts.statsJsonPath) ||
-        matchFlag(arg, "--stats-prom=", &opts.statsPromPath) ||
         matchFlag(arg, "--perfetto=", &opts.perfettoPath) ||
         matchFlag(arg, "--causal-trace=", &opts.causalJsonPath) ||
         matchFlag(arg, "--folded-stacks=", &opts.foldedPath)) {
@@ -119,18 +90,9 @@ parseObsFlag(const char *arg, obs::SessionOptions &opts)
             fatal("--causal-sample= must be >= 1");
         return true;
     }
-    if (matchFlag(arg, "--causal-seed=", &value)) {
-        opts.causalSeed = numberArg(value, "--causal-seed=");
-        return true;
-    }
     if (matchFlag(arg, "--telemetry=", &opts.telemetry.csvPath) ||
         matchFlag(arg, "--telemetry-json=", &opts.telemetry.jsonPath) ||
         matchFlag(arg, "--slo=", &opts.telemetry.sloSpec)) {
-        return true;
-    }
-    if (matchFlag(arg, "--telemetry-window=", &value)) {
-        opts.telemetry.windowSeconds =
-            timeArg(value, "--telemetry-window=");
         return true;
     }
     if (matchFlag(arg, "--telemetry-ring=", &value)) {
@@ -168,18 +130,14 @@ benchUsage()
            "  --per-line          reference per-line access engine\n"
            "                      (diagnostics; identical, slower)\n"
            "  --stats-json=FILE   hierarchical stats registry as JSON\n"
-           "  --stats-prom=FILE   same registry, Prometheus text\n"
            "  --perfetto=FILE     Chrome-trace JSON (ui.perfetto.dev)\n"
            "  --causal-trace=FILE per-request causal attribution JSON\n"
            "  --folded-stacks=FILE folded flamegraph lines\n"
            "  --causal-sample=N   sample 1-in-N requests (default 64)\n"
-           "  --causal-seed=S     sampling/reservoir seed (default 1)\n"
            "  --telemetry=FILE    windowed counter/rate time-series CSV\n"
            "                      (does not force serial execution)\n"
            "  --telemetry-json=FILE nvsim-telemetry-v1 JSON (totals,\n"
            "                      latency percentiles, windows, SLO)\n"
-           "  --telemetry-window=T window length; s/ms/us/ns suffix\n"
-           "                      (default 1ms)\n"
            "  --telemetry-ring=N  windows kept per run, 0 = unbounded\n"
            "                      (default 4096; oldest evicted first)\n"
            "  --slo=SPEC          objectives, e.g.\n"
@@ -229,7 +187,6 @@ parseBenchOptions(int argc, char **argv)
         if (!detail::manifestNeutral(arg))
             man.flags.push_back(arg);
     }
-    man.causalSeed = opts.obs.causalSeed;
     MemorySystem::setBatchedAccessDefault(!opts.perLine);
     return opts;
 }

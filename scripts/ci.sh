@@ -92,7 +92,10 @@ echo "determinism smoke passed: outputs byte-identical."
 # be byte-identical. The JSON artifacts must parse (json.tool exits
 # nonzero otherwise), and fig4's stats JSON must show Table I: every
 # request class within 1-5 device accesses, clean read misses at 3
-# and NT-write dirty misses at 5.
+# and NT-write dirty misses at 5. Fig4's causal JSON must show the
+# same two rows cause by cause, through the blame trees
+# (causalBreakdown2lm) rather than the DeviceActions totals the stats
+# read.
 echo "=== obs smoke (observed artifacts on both paths, Table I) ==="
 obs_dir=$(mktemp -d)
 trap 'rm -rf "$obs_dir"' EXIT
@@ -103,8 +106,7 @@ for variant in "range --jobs=1" "perline --jobs=1 --per-line"; do
         mkdir -p "$obs_dir/$name/$bench"
         # shellcheck disable=SC2086  # flags is a word list by design
         (cd "$obs_dir/$name/$bench" && "$root/build/bench/bench_$bench" \
-            $flags --stats-json=stats.json --stats-prom=stats.prom \
-            --perfetto=trace.json --causal-trace=causal.json \
+            $flags --stats-json=stats.json --perfetto=trace.json --causal-trace=causal.json \
             --folded-stacks=folded.txt --causal-sample=7 > bench.log)
     done
 done
@@ -113,7 +115,6 @@ for bench in fig2_nvram_bw fig4_2lm_microbench; do
     for f in stats.json trace.json causal.json; do
         python3 -m json.tool "$obs_dir/range/$bench/$f" > /dev/null
     done
-    test -s "$obs_dir/range/$bench/stats.prom"
     test -s "$obs_dir/range/$bench/folded.txt"
 done
 python3 - "$obs_dir/range/fig4_2lm_microbench/stats.json" <<'EOF'
@@ -140,8 +141,37 @@ for run in runs:
             seen[prefix] += 1
 assert all(n == 2 for n in seen.values()), f"pinned runs missing: {seen}"
 EOF
+python3 - "$obs_dir/range/fig4_2lm_microbench/causal.json" <<'EOF'
+import json, sys
+runs = json.load(open(sys.argv[1]))["runs"]
+pinned = {"4a read-only": ("read_miss_clean",
+                           ["tag_probe", "cache_fill_read",
+                            "cache_insert_write"]),
+          "4b write-only NT": ("write_miss_dirty",
+                               ["tag_probe", "cache_fill_read",
+                                "cache_insert_write", "data_write",
+                                "dirty_writeback"])}
+seen = {prefix: 0 for prefix in pinned}
+for run in runs:
+    label = run["label"]
+    for prefix, (klass, causes) in pinned.items():
+        if not label.startswith(prefix):
+            continue
+        rows = [c for ctx in run["causal"]["contexts"]
+                for c in ctx["classes"] if c["class"] == klass]
+        assert rows, f"{label}: no sampled {klass} requests"
+        for row in rows:
+            n = row["samples"]
+            assert n > 0 and row["accesses_per_request"] == len(causes), \
+                f"{label}: {klass} not at {len(causes)} accesses: {row}"
+            counts = {c["cause"]: c["count"] for c in row["causes"]}
+            assert counts == {c: n for c in causes}, \
+                f"{label}: {klass} causes {counts}, want {causes} x {n}"
+        seen[prefix] += 1
+assert all(n == 2 for n in seen.values()), f"pinned runs missing: {seen}"
+EOF
 echo "obs smoke passed: observed artifacts identical on both paths," \
-     "valid, and within Table I."
+     "valid, and within Table I by stats and by blame tree."
 
 # Flag and module census: every flag benchUsage() lists (any bench
 # prints it on an unknown argument) must have a row in DESIGN.md's
@@ -167,7 +197,8 @@ for flag in $census; do
     }
 done
 for arg in --set-heatmap=x --top-sets=4 --anomaly-report=x \
-           --anomaly-z=6; do
+           --anomaly-z=6 --stats-prom=x --causal-seed=1 \
+           --telemetry-window=1ms; do
     rejects "$fig4" "$arg"
     grep -q "unknown argument '$arg'" "$obs_dir/out.txt"
 done
@@ -314,7 +345,7 @@ echo "=== telemetry smoke (windowed series / JSON / SLO report) ==="
 tel_dir=$(mktemp -d)
 (cd "$tel_dir" && "$root/build/bench/bench_fig4_2lm_microbench" \
     --telemetry=tel.csv --telemetry-json=tel.json \
-    --telemetry-window=1ms --slo='p99_ns<100000@95%;amplification<8' \
+    --slo='p99_ns<100000@95%;amplification<8' \
     > bench.log)
 head -1 "$tel_dir/tel.csv" | grep -q '^run,window,t0,t1,channel,metric,value$'
 python3 -m json.tool "$tel_dir/tel.json" > /dev/null
@@ -480,21 +511,6 @@ assert any(l["p99_ns"] > l["p50_ns"] for l in lats), \
 EOF
 rm -rf "$ql_dir"
 echo "queue smoke passed: outputs match the golden, saturated p99 > p50."
-
-# Prometheus strict lint: the exposition-format rules scrapers only
-# half-enforce (one TYPE per family, counters end _total, histogram
-# le monotonic with +Inf == _count, no duplicate samples, info-style
-# families are gauges with value 1 and labeled). The export must also
-# carry the nvsim_build_info provenance gauge.
-echo "=== prometheus strict lint ==="
-prom_dir=$(mktemp -d)
-(cd "$prom_dir" && "$root/build/bench/bench_fig4_2lm_microbench" \
-    --stats-prom=stats.prom --telemetry-json=tel.json > /dev/null)
-grep -q '^nvsim_build_info{' "$prom_dir/stats.prom"
-grep -q 'config_hash="0x' "$prom_dir/stats.prom"
-python3 "$root/scripts/prom_lint.py" "$prom_dir/stats.prom"
-rm -rf "$prom_dir"
-echo "prometheus lint passed: exposition is strictly valid."
 
 # Perf gate: perfbench's end-to-end metrics on all four workloads at
 # the anchor's fixed seeds. A run that is not correct, a host metric

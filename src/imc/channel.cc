@@ -260,76 +260,65 @@ ChannelController::regStats(obs::Group &g)
 {
     obs::Group &ctr = g.child("counters");
     counters_.forEachField(
-        [&](const char *name, const char *desc, std::uint64_t &v) {
-            ctr.formula(name, desc,
-                        [&v] { return static_cast<double>(v); });
+        [&](const char *name, const char *, std::uint64_t &v) {
+            ctr.formula(name, [&v] { return static_cast<double>(v); });
         });
-    g.formula("amplification", "device accesses per demand request",
+    // Device accesses per demand request.
+    g.formula("amplification",
               [this] { return counters_.amplification(); });
 
     obs::Group &cache = g.child("cache");
-    cache.formula("num_sets", "DRAM cache sets on this channel",
-                  [this] {
-                      return static_cast<double>(cache_->numSets());
-                  });
-    cache.formula("ways", "DRAM cache associativity",
+    cache.formula("num_sets", [this] {
+        return static_cast<double>(cache_->numSets());
+    });
+    cache.formula("ways",
                   [this] { return static_cast<double>(cache_->ways()); });
 
+    // Totals of 64 B transactions on the DRAM and NVRAM buses, of
+    // 256 B NVRAM media blocks, and media bytes per demand byte.
     obs::Group &dram = g.child("dram");
-    dram.formula("cas_reads", "total 64 B DRAM read transactions",
-                 [this] {
-                     return static_cast<double>(dram_.total().casReads);
-                 });
-    dram.formula("cas_writes", "total 64 B DRAM write transactions",
-                 [this] {
-                     return static_cast<double>(dram_.total().casWrites);
-                 });
+    dram.formula("cas_reads", [this] {
+        return static_cast<double>(dram_.total().casReads);
+    });
+    dram.formula("cas_writes", [this] {
+        return static_cast<double>(dram_.total().casWrites);
+    });
 
     obs::Group &nvram = g.child("nvram");
-    nvram.formula("demand_reads", "total 64 B NVRAM bus reads", [this] {
+    nvram.formula("demand_reads", [this] {
         return static_cast<double>(nvram_.total().demandReads);
     });
-    nvram.formula("demand_writes", "total 64 B NVRAM bus writes",
-                  [this] {
-                      return static_cast<double>(
-                          nvram_.total().demandWrites);
-                  });
-    nvram.formula("media_read_blocks", "total 256 B media reads",
-                  [this] {
-                      return static_cast<double>(
-                          nvram_.total().mediaReadBlocks);
-                  });
-    nvram.formula("media_write_blocks", "total 256 B media writes",
-                  [this] {
-                      return static_cast<double>(
-                          nvram_.total().mediaWriteBlocks);
-                  });
+    nvram.formula("demand_writes", [this] {
+        return static_cast<double>(nvram_.total().demandWrites);
+    });
+    nvram.formula("media_read_blocks", [this] {
+        return static_cast<double>(nvram_.total().mediaReadBlocks);
+    });
+    nvram.formula("media_write_blocks", [this] {
+        return static_cast<double>(nvram_.total().mediaWriteBlocks);
+    });
     nvram.formula("read_amplification",
-                  "media bytes read per demand byte read",
                   [this] { return nvram_.readAmplification(); });
     nvram.formula("write_amplification",
-                  "media bytes written per demand byte written",
                   [this] { return nvram_.writeAmplification(); });
 
     if (maint_.enabled()) {
-        obs::Group &maint = g.child("maintenance");
-        maint.formula("refresh_duty",
-                      "fraction of bank time lost to tREFI/tRFC refresh",
-                      [this] { return maint_.refreshDuty(); });
+        // Fraction of bank time lost to tREFI/tRFC refresh.
+        g.child("maintenance").formula(
+            "refresh_duty", [this] { return maint_.refreshDuty(); });
     }
 
     if (txq_) {
         obs::Group &queue = g.child("queue");
-        queue.formula("read_depth", "read-queue occupancy", [this] {
+        queue.formula("read_depth", [this] {
             return static_cast<double>(txq_->readDepth());
         });
-        queue.formula("write_depth", "WPQ occupancy", [this] {
+        queue.formula("write_depth", [this] {
             return static_cast<double>(txq_->writeDepth());
         });
+        // 1 while a WPQ drain burst is active.
         queue.formula("draining",
-                      "1 while a WPQ drain burst is active", [this] {
-                          return txq_->draining() ? 1.0 : 0.0;
-                      });
+                      [this] { return txq_->draining() ? 1.0 : 0.0; });
     }
 }
 

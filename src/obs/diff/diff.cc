@@ -320,12 +320,6 @@ diffTelemetry(const TelDoc &a, const TelDoc &b, const DiffOptions &opts)
             diag("flags differ: [" + join(a.manifest.flags) +
                  "] vs [" + join(b.manifest.flags) + "]");
         }
-        if (a.manifest.causalSeed != b.manifest.causalSeed)
-            diag(strprintf("causal seed differs: %llu vs %llu",
-                           static_cast<unsigned long long>(
-                               a.manifest.causalSeed),
-                           static_cast<unsigned long long>(
-                               b.manifest.causalSeed)));
     }
 
     // Label-matched run pairs; unmatched labels are differences.

@@ -10,7 +10,7 @@
  *  - Comparability is decided first, from the embedded manifests.
  *    Different schema or window length makes the artifacts
  *    incomparable (Comparability::Incomparable — refuse unless
- *    forced); different bench, flags, seed or per-run config hash is
+ *    forced); different bench, flags or per-run config hash is
  *    a first-class diagnostic on the report (the comparison is
  *    apples-to-oranges on purpose — say so, then diff anyway).
  *  - Counters diff per (window, channel, counter), window-aligned by

@@ -96,8 +96,6 @@ readManifest(const JsonValue &man, std::string *schema_out)
         for (const JsonValue &f : v->items())
             m.flags.push_back(f.asString());
     }
-    if (const JsonValue *v = man.find("causal_seed"))
-        m.causalSeed = v->asUint();
     return m;
 }
 

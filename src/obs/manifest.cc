@@ -1,13 +1,26 @@
 #include "obs/manifest.hh"
 
+#include <map>
 #include <sstream>
 
+#include "core/json.hh"
 #include "core/logging.hh"
 #include "obs/json.hh"
 
 namespace nvsim::obs
 {
 
+std::string
+digestHex(std::uint64_t digest)
+{
+    return strprintf("0x%016llx",
+                     static_cast<unsigned long long>(digest));
+}
+
+namespace
+{
+
+/** FNV-1a 64-bit hash (the config digest primitive). */
 std::uint64_t
 fnv1a64(const std::string &text)
 {
@@ -19,11 +32,38 @@ fnv1a64(const std::string &text)
     return h;
 }
 
-std::string
-digestHex(std::uint64_t digest)
+/** Every leaf of config object @p v as path -> canonical value text. */
+void
+flattenLeaves(const JsonValue &v, const std::string &path,
+              std::map<std::string, std::string> &out)
 {
-    return strprintf("0x%016llx",
-                     static_cast<unsigned long long>(digest));
+    if (v.isObject()) {
+        for (const auto &[key, member] : v.members())
+            flattenLeaves(member, path + "/" + key, out);
+    } else if (v.isString()) {
+        out[path] = '"' + jsonEscape(v.asString()) + '"';
+    } else if (v.isBool()) {
+        out[path] = v.asBool() ? "true" : "false";
+    } else {
+        out[path] = strprintf("%.17g", v.asNumber());
+    }
+}
+
+} // namespace
+
+std::uint64_t
+configDigestHash(const std::string &config, const std::string &defaults)
+{
+    std::map<std::string, std::string> leaves, base;
+    flattenLeaves(parseJson(config, "config"), "", leaves);
+    flattenLeaves(parseJson(defaults, "default config"), "", base);
+    std::string text;
+    for (const auto &[path, value] : leaves) {
+        auto it = base.find(path);
+        if (it == base.end() || it->second != value)
+            text += path + '=' + value + '\n';
+    }
+    return fnv1a64(text);
 }
 
 std::string
@@ -36,8 +76,7 @@ RunManifest::json(double window_s,
        << jsonEscape(bench) << "\",\"flags\":[";
     for (std::size_t i = 0; i < flags.size(); ++i)
         os << (i ? "," : "") << '"' << jsonEscape(flags[i]) << '"';
-    os << "],\"causal_seed\":" << causalSeed
-       << ",\"window_s\":" << strprintf("%.9g", window_s) << '}';
+    os << "],\"window_s\":" << strprintf("%.9g", window_s) << '}';
     return os.str();
 }
 

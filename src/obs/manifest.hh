@@ -6,16 +6,17 @@
  * placement under identical conditions — so every telemetry artifact
  * must say *what produced it* precisely enough that two artifacts are
  * comparable-or-rejectable by construction. A RunManifest captures the
- * session-level provenance (bench name, canonical flag set, seeds,
- * schema versions, window length), and each observed run additionally
- * carries a SystemConfig digest (an FNV-1a hash of SystemConfig::toJson(), so
- * any knob change — scale, policy, maintenance plan — changes the
- * hash).
+ * session-level provenance (bench name, canonical flag set, schema
+ * versions, window length), and each observed run additionally
+ * carries a SystemConfig digest: an FNV-1a hash of the
+ * SystemConfig::toJson() leaves that differ from a default config's
+ * (configDigestHash), so any knob change — scale, policy, maintenance
+ * plan — changes the hash, while a key added or removed at its
+ * default value does not.
  *
  * The manifest is embedded into the telemetry JSON (top-level
- * "manifest" object plus per-run "manifest"), the Prometheus output
- * (an info-style `nvsim_build_info` gauge, value always 1, provenance
- * in labels) and the Perfetto trace (top-level "metadata" object).
+ * "manifest" object plus per-run "config") and the Perfetto trace
+ * (top-level "metadata" object).
  * src/obs/diff consumes it: schema or window mismatch makes two
  * artifacts incomparable; a config-hash mismatch is a first-class
  * diagnostic on the diff report, not a crash.
@@ -34,11 +35,18 @@
 namespace nvsim::obs
 {
 
-/** FNV-1a 64-bit hash (the config digest primitive). */
-std::uint64_t fnv1a64(const std::string &text);
-
 /** Canonical rendering of a 64-bit digest: "0x%016llx". */
 std::string digestHex(std::uint64_t digest);
+
+/**
+ * FNV-1a hash of the leaves of JSON document @p config whose value
+ * differs from the leaf at the same path in @p defaults (or which
+ * @p defaults lacks), taken in path order. Changing any one value
+ * changes the hash; adding or removing a key at its default value in
+ * both documents does not.
+ */
+std::uint64_t configDigestHash(const std::string &config,
+                               const std::string &defaults);
 
 /** Session-level provenance, embedded into every telemetry artifact. */
 struct RunManifest
@@ -48,7 +56,6 @@ struct RunManifest
 
     std::string bench;               //!< argv[0] basename
     std::vector<std::string> flags;  //!< verbatim argv[1..], in order
-    std::uint64_t causalSeed = 1;    //!< --causal-seed= (sampling RNG)
 
     /**
      * The manifest as one JSON object, e.g.
@@ -63,7 +70,7 @@ struct RunManifest
 /** Per-run provenance: the SystemConfig digest plus headline knobs. */
 struct ConfigDigest
 {
-    std::string hash;  //!< digestHex(fnv1a64(config.toJson()))
+    std::string hash;  //!< digestHex(configDigestHash(...))
     std::string mode;  //!< memoryModeName()
     std::uint64_t scale = 0;
 

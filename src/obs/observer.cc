@@ -5,7 +5,6 @@
 
 #include "core/logging.hh"
 #include "obs/causal.hh"
-#include "obs/prometheus.hh"
 #include "obs/telemetry/telemetry.hh"
 
 namespace nvsim::obs
@@ -38,19 +37,15 @@ Observer::Observer(std::string run_label)
           CacheOutcome::MissDirty, CacheOutcome::DdoHit,
           CacheOutcome::Uncached}) {
         Group &g = requests.child(outcomeClassName(outcome));
-        g.label("outcome", outcomeClassName(outcome));
         unsigned i = static_cast<unsigned>(outcome);
-        latency_[i] = &g.histogram(
-            "latency_ns", "per-request load-to-use latency (ns)", 40);
-        // Linear region 16: Table I's 1..5 device accesses land in
-        // exact buckets, so "up to 5 accesses" is a visible spike.
-        accesses_[i] = &g.histogram(
-            "device_accesses",
-            "device transactions generated per demand request", 20, 16);
+        // Load-to-use latency (ns) and device transactions per
+        // request. The sketch is exact below 64, so Table I's 1..5
+        // device accesses land in exact buckets and "up to 5
+        // accesses" is a visible spike.
+        latency_[i] = &g.histogram("latency_ns");
+        accesses_[i] = &g.histogram("device_accesses");
     }
-    dmaRequests_ =
-        &requests.scalar("dma_requests",
-                         "IMC requests issued by the DMA engines");
+    dmaRequests_ = &requests.scalar("dma_requests");
 }
 
 Observer::~Observer()
@@ -71,11 +66,11 @@ Observer::enableCausal(const CausalOptions &opts)
     causal_ = std::make_unique<CausalTracer>(opts, tracer_);
     CausalTracer *c = causal_.get();
     Group &g = root().child("causal");
-    g.formula("demand_requests", "demand requests seen by the sampler",
+    g.formula("demand_requests",
               [c] { return static_cast<double>(c->demands()); });
-    g.formula("sampled_requests", "demand requests carrying a trace id",
+    g.formula("sampled_requests",
               [c] { return static_cast<double>(c->sampled()); });
-    g.formula("llc_hits", "demand accesses absorbed by the LLC",
+    g.formula("llc_hits",
               [c] { return static_cast<double>(c->llcHits()); });
 }
 
@@ -107,11 +102,11 @@ Observer::noteRequest(bool demand, CacheOutcome outcome,
     unsigned i = static_cast<unsigned>(outcome);
     if (!demand) {
         dmaRequests_->add();
-        accesses_[i]->sample(device_accesses);
+        accesses_[i]->add(device_accesses);
         return;
     }
-    accesses_[i]->sample(device_accesses);
-    latency_[i]->sample(
+    accesses_[i]->add(device_accesses);
+    latency_[i]->add(
         static_cast<std::uint64_t>(std::llround(latency_s * 1e9)));
 }
 
@@ -167,10 +162,10 @@ Observer::kernelSpan(const std::string &name, double t0, double t1)
 void
 Observer::onCountersReset(double prior_now)
 {
-    for (Log2Histogram *h : latency_)
-        h->reset();
-    for (Log2Histogram *h : accesses_)
-        h->reset();
+    for (LatencySketch *h : latency_)
+        h->clear();
+    for (LatencySketch *h : accesses_)
+        h->clear();
     if (causal_)
         causal_->onCountersReset();
     if (tracer_)
@@ -183,20 +178,9 @@ Observer::seal()
     if (sealed_)
         return;
     sealed_ = true;
-    {
-        std::ostringstream os;
-        registry_.dumpJson(os);
-        statsJson_ = os.str();
-    }
-    {
-        std::string extra;
-        if (!runLabel_.empty())
-            extra = "run=\"" + promEscapeLabel(runLabel_) + "\"";
-        collectPrometheus(registry_, promFamilies_, "nvsim", extra);
-        std::ostringstream os;
-        renderPrometheus(promFamilies_, os);
-        statsProm_ = os.str();
-    }
+    std::ostringstream os;
+    registry_.dumpJson(os);
+    statsJson_ = os.str();
 }
 
 const std::string &
@@ -206,31 +190,17 @@ Observer::statsJson()
     return statsJson_;
 }
 
-const std::string &
-Observer::statsProm()
-{
-    seal();
-    return statsProm_;
-}
-
-const std::vector<PromFamily> &
-Observer::promFamilies()
-{
-    seal();
-    return promFamilies_;
-}
-
 void
 Observer::attachTelemetry(TelemetryRun *tel)
 {
     Group &g = root().child("telemetry");
-    g.formula("latency_p50_ns", "median request latency (sketch)",
+    g.formula("latency_p50_ns",
               [tel] { return double(tel->quantileNs(0.50)); });
-    g.formula("latency_p90_ns", "p90 request latency (sketch)",
+    g.formula("latency_p90_ns",
               [tel] { return double(tel->quantileNs(0.90)); });
-    g.formula("latency_p99_ns", "p99 request latency (sketch)",
+    g.formula("latency_p99_ns",
               [tel] { return double(tel->quantileNs(0.99)); });
-    g.formula("latency_p999_ns", "p99.9 request latency (sketch)",
+    g.formula("latency_p999_ns",
               [tel] { return double(tel->quantileNs(0.999)); });
 }
 

@@ -33,9 +33,7 @@
 
 #include "imc/counters.hh"
 #include "mem/request.hh"
-#include "obs/manifest.hh"
 #include "obs/perfetto.hh"
-#include "obs/prometheus.hh"
 #include "obs/stats.hh"
 
 namespace nvsim::obs
@@ -77,10 +75,6 @@ class Observer
     const Registry &registry() const { return registry_; }
     Group &root() { return registry_.root(); }
 
-    /** Per-run provenance (set by MemorySystem::attachObserver). */
-    void setProvenance(ConfigDigest d) { provenance_ = std::move(d); }
-    const ConfigDigest &provenance() const { return provenance_; }
-
     /** Attach a (session-owned) trace collector; may stay null. */
     void setTracer(PerfettoTracer *tracer) { tracer_ = tracer; }
     PerfettoTracer *tracer() { return tracer_; }
@@ -98,8 +92,7 @@ class Observer
     /**
      * Register the telemetry run's summary quantiles as gauge
      * formulas under the registry's "telemetry" group, so the latency
-     * sketch shows up in the stats JSON / Prometheus dump. @p tel must
-     * outlive seal().
+     * sketch shows up in the stats JSON. @p tel must outlive seal().
      */
     void attachTelemetry(TelemetryRun *tel);
 
@@ -148,43 +141,29 @@ class Observer
 
     /**
      * Render the registry (formulas read live component state) into
-     * cached JSON / Prometheus strings. Idempotent; must run before
-     * the observed system is destroyed.
+     * a cached JSON string. Idempotent; must run before the observed
+     * system is destroyed.
      */
     void seal();
     bool sealed() const { return sealed_; }
 
     /** Rendered registry; seals on first use. */
     const std::string &statsJson();
-    const std::string &statsProm();
-
-    /**
-     * Family-shaped Prometheus samples; seals on first use. Sessions
-     * merge these across runs (obs/prometheus.hh) so the combined
-     * exposition stays strictly valid.
-     */
-    const std::vector<PromFamily> &promFamilies();
 
   private:
-    Log2Histogram &latencyHist(CacheOutcome outcome);
-    Log2Histogram &accessHist(CacheOutcome outcome);
-
     std::string runLabel_;
     Registry registry_;
-    ConfigDigest provenance_;
     PerfettoTracer *tracer_ = nullptr;  //!< not owned; may be null
     std::unique_ptr<CausalTracer> causal_;
     std::function<void()> detachHook_;
 
     /** Indexed by CacheOutcome; owned by the registry. */
-    Log2Histogram *latency_[5] = {};
-    Log2Histogram *accesses_[5] = {};
+    LatencySketch *latency_[5] = {};
+    LatencySketch *accesses_[5] = {};
     Scalar *dmaRequests_ = nullptr;
 
     bool sealed_ = false;
     std::string statsJson_;
-    std::string statsProm_;
-    std::vector<PromFamily> promFamilies_;
 };
 
 /** Stats-group name of an outcome class. */

@@ -66,7 +66,6 @@ Session::beginRun(const std::string &label)
     if (opts_.causal()) {
         CausalOptions copts;
         copts.samplePeriod = opts_.causalSamplePeriod;
-        copts.seed = opts_.causalSeed;
         copts.flowIdBase = nextFlowId_;
         current_->enableCausal(copts);
     }
@@ -113,11 +112,8 @@ Session::endRun()
         currentTel_ = nullptr;
     }
     current_->seal();
-    buildInfo_.emplace_back(current_->runLabel(),
-                            current_->provenance());
     runsJson_.emplace_back(current_->runLabel(),
                            rstrip(current_->statsJson()));
-    mergePrometheus(promFamilies_, current_->promFamilies());
     if (const CausalTracer *causal = current_->causal()) {
         causal->foldedLines(foldedLines_, current_->runLabel());
         std::ostringstream os;
@@ -187,45 +183,6 @@ Session::writeFiles(bool from_destructor)
         }
     }
 
-    if (!opts_.statsPromPath.empty()) {
-        std::ofstream ofs;
-        if (open(opts_.statsPromPath, ofs)) {
-            // Info-style provenance gauge: value is the constant 1,
-            // the payload is the labels (Prometheus convention for
-            // build/version metadata; prom_lint.py checks the shape).
-            const RunManifest &m = opts_.telemetry.manifest;
-            PromFamily info;
-            info.name = "nvsim_build_info";
-            info.type = "gauge";
-            info.help = "run provenance manifest (constant 1; the "
-                        "payload is the labels)";
-            for (const auto &[label, digest] : buildInfo_) {
-                PromSample s;
-                s.name = info.name;
-                s.labels = strprintf(
-                    "run=\"%s\",bench=\"%s\",config_hash=\"%s\","
-                    "mode=\"%s\",scale=\"%llu\",seed=\"%llu\","
-                    "schema=\"%s\"",
-                    promEscapeLabel(label).c_str(),
-                    promEscapeLabel(m.bench).c_str(),
-                    promEscapeLabel(digest.hash).c_str(),
-                    promEscapeLabel(digest.mode).c_str(),
-                    static_cast<unsigned long long>(digest.scale),
-                    static_cast<unsigned long long>(m.causalSeed),
-                    RunManifest::kSchema);
-                s.value = 1;
-                info.samples.push_back(std::move(s));
-            }
-            std::vector<PromFamily> families;
-            if (!info.samples.empty())
-                families.push_back(std::move(info));
-            mergePrometheus(families, promFamilies_);
-            renderPrometheus(families, ofs);
-            inform("obs: wrote Prometheus text to %s",
-                   opts_.statsPromPath.c_str());
-        }
-    }
-
     if (!opts_.perfettoPath.empty()) {
         std::ofstream ofs;
         if (open(opts_.perfettoPath, ofs)) {
@@ -245,7 +202,8 @@ Session::writeFiles(bool from_destructor)
         if (open(opts_.causalJsonPath, ofs)) {
             ofs << "{\"schema\":\"nvsim-causal-v1\",\"sample_period\":"
                 << opts_.causalSamplePeriod
-                << ",\"seed\":" << opts_.causalSeed << ",\"runs\":[";
+                << ",\"seed\":" << CausalOptions{}.seed
+                << ",\"runs\":[";
             for (std::size_t i = 0; i < causalRuns_.size(); ++i) {
                 if (i > 0)
                     ofs << ',';

@@ -10,7 +10,6 @@
  * explicit write()) it emits the files the user asked for:
  *
  *   --stats-json=F    {"runs":[{"label":..,"stats":{..}},..]}
- *   --stats-prom=F    Prometheus text exposition, run="label" labels
  *   --perfetto=F      Chrome-trace JSON; open in ui.perfetto.dev
  *
  * The session also owns the telemetry engine's per-run collectors
@@ -41,7 +40,6 @@ namespace nvsim::obs
 struct SessionOptions
 {
     std::string statsJsonPath;
-    std::string statsPromPath;
     std::string perfettoPath;
 
     /** @name Causal tracing (obs/causal.hh) */
@@ -49,7 +47,6 @@ struct SessionOptions
     std::string causalJsonPath;  //!< --causal-trace= attribution JSON
     std::string foldedPath;      //!< --folded-stacks= flamegraph input
     std::uint64_t causalSamplePeriod = 64;  //!< --causal-sample=
-    std::uint64_t causalSeed = 1;           //!< --causal-seed=
     ///@}
 
     /** Telemetry engine outputs (obs/telemetry/telemetry.hh). */
@@ -69,8 +66,8 @@ struct SessionOptions
     bool
     any() const
     {
-        return !statsJsonPath.empty() || !statsPromPath.empty() ||
-               !perfettoPath.empty() || causal();
+        return !statsJsonPath.empty() || !perfettoPath.empty() ||
+               causal();
     }
 
     /** Any output at all (observer or telemetry). */
@@ -139,9 +136,6 @@ class Session
     double runStart_ = 0;  //!< absolute start time of the open run
 
     std::vector<std::pair<std::string, std::string>> runsJson_;
-    std::vector<PromFamily> promFamilies_;
-    /** (run label, config digest) per ended run: nvsim_build_info. */
-    std::vector<std::pair<std::string, ConfigDigest>> buildInfo_;
     std::vector<std::pair<std::string, std::string>> causalRuns_;
     std::vector<std::string> foldedLines_;
     std::uint64_t nextFlowId_ = 1;  //!< flow ids unique across runs

@@ -17,55 +17,39 @@ Group::child(const std::string &name)
     return *children_.back();
 }
 
-void
-Group::label(const std::string &key, const std::string &value)
-{
-    for (auto &kv : labels_) {
-        if (kv.first == key) {
-            kv.second = value;
-            return;
-        }
-    }
-    labels_.emplace_back(key, value);
-}
-
 Stat &
-Group::add(const std::string &name, const std::string &desc,
-           StatKind kind)
+Group::add(const std::string &name, StatKind kind)
 {
     if (find(name))
         panic("stat '%s' registered twice in group '%s'", name.c_str(),
               name_.c_str());
     Stat s;
     s.name = name;
-    s.desc = desc;
     s.kind = kind;
     stats_.push_back(std::move(s));
     return stats_.back();
 }
 
 Scalar &
-Group::scalar(const std::string &name, const std::string &desc)
+Group::scalar(const std::string &name)
 {
-    Stat &s = add(name, desc, StatKind::Scalar);
+    Stat &s = add(name, StatKind::Scalar);
     s.scalar = std::make_unique<Scalar>();
     return *s.scalar;
 }
 
 void
-Group::formula(const std::string &name, const std::string &desc,
-               std::function<double()> fn)
+Group::formula(const std::string &name, std::function<double()> fn)
 {
-    Stat &s = add(name, desc, StatKind::Formula);
+    Stat &s = add(name, StatKind::Formula);
     s.formula = std::move(fn);
 }
 
-Log2Histogram &
-Group::histogram(const std::string &name, const std::string &desc,
-                 unsigned num_buckets, unsigned linear)
+LatencySketch &
+Group::histogram(const std::string &name)
 {
-    Stat &s = add(name, desc, StatKind::Histogram);
-    s.histogram = std::make_unique<Log2Histogram>(num_buckets, linear);
+    Stat &s = add(name, StatKind::Histogram);
+    s.histogram = std::make_unique<LatencySketch>();
     return *s.histogram;
 }
 
@@ -91,7 +75,7 @@ Group::dumpJson(JsonWriter &json) const
             json.field(s.name, s.formula());
             break;
           case StatKind::Histogram: {
-            const Log2Histogram &h = *s.histogram;
+            const LatencySketch &h = *s.histogram;
             json.beginObject(s.name);
             json.field("count", h.count());
             json.field("sum", h.sum());
@@ -99,14 +83,11 @@ Group::dumpJson(JsonWriter &json) const
             json.field("max", h.max());
             json.field("mean", h.mean());
             json.beginArray("buckets");
-            for (unsigned i = 0; i < h.numBuckets(); ++i) {
-                if (h.bucketCount(i) == 0)
-                    continue;  // sparse: zero buckets add no information
+            for (auto [b, count] : h.sparse()) {
                 json.beginObject();
-                json.field("lo", h.bucketLow(i));
-                if (h.bucketHigh(i) != UINT64_MAX)
-                    json.field("hi", h.bucketHigh(i));
-                json.field("count", h.bucketCount(i));
+                json.field("lo", LatencySketch::bucketLow(b));
+                json.field("hi", LatencySketch::bucketHigh(b));
+                json.field("count", count);
                 json.endObject();
             }
             json.endArray();

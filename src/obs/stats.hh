@@ -5,22 +5,20 @@
  * Components register named stats into a tree of Groups:
  *
  *   obs::Group &imc = registry.root().child("imc0");
- *   imc.label("channel", "0");
- *   obs::Scalar &rd = imc.scalar("dram_read", "64 B DRAM reads");
- *   imc.formula("amplification", "device accesses per demand request",
+ *   obs::Scalar &rd = imc.scalar("dram_read");
+ *   imc.formula("amplification",
  *               [&] { return counters.amplification(); });
- *   obs::Log2Histogram &h =
- *       imc.histogram("latency_ns", "per-request latency", 40);
+ *   obs::LatencySketch &h = imc.histogram("latency_ns");
  *
  * Three stat kinds:
- *  - Scalar:        an owned monotonically written uint64;
- *  - Formula:       a callback evaluated at dump time, so components
- *                   expose live state with zero hot-path cost;
- *  - Log2Histogram: bucketed distribution (see obs/histogram.hh).
+ *  - Scalar:    an owned monotonically written uint64;
+ *  - Formula:   a callback evaluated at dump time, so components
+ *               expose live state with zero hot-path cost;
+ *  - Histogram: a LatencySketch (obs/telemetry/sketch.hh), exact for
+ *               values below 64 — so Table I's 1-5 device accesses
+ *               land in their own buckets — and log-linear above.
  *
- * The registry dumps as nested JSON (dumpJson) and as Prometheus text
- * exposition format (obs/prometheus.hh). Labels attached to a group
- * become Prometheus labels on every stat beneath it.
+ * The registry dumps as nested JSON (dumpJson).
  */
 
 #ifndef NVSIM_OBS_STATS_HH
@@ -34,7 +32,7 @@
 #include <utility>
 #include <vector>
 
-#include "obs/histogram.hh"
+#include "obs/telemetry/sketch.hh"
 
 namespace nvsim::obs
 {
@@ -60,11 +58,10 @@ class Scalar
 struct Stat
 {
     std::string name;
-    std::string desc;
     StatKind kind = StatKind::Scalar;
     std::unique_ptr<Scalar> scalar;
     std::function<double()> formula;
-    std::unique_ptr<Log2Histogram> histogram;
+    std::unique_ptr<LatencySketch> histogram;
 };
 
 /** A node in the stats hierarchy. */
@@ -79,20 +76,10 @@ class Group
     /** Get-or-create a child group. */
     Group &child(const std::string &name);
 
-    /**
-     * Attach a Prometheus label inherited by every stat beneath this
-     * group (e.g. channel="3"). Labels do not affect the JSON path.
-     */
-    void label(const std::string &key, const std::string &value);
-
     /** Register stats. Re-registering a name panics. */
-    Scalar &scalar(const std::string &name, const std::string &desc);
-    void formula(const std::string &name, const std::string &desc,
-                 std::function<double()> fn);
-    Log2Histogram &histogram(const std::string &name,
-                             const std::string &desc,
-                             unsigned num_buckets = 32,
-                             unsigned linear = 2);
+    Scalar &scalar(const std::string &name);
+    void formula(const std::string &name, std::function<double()> fn);
+    LatencySketch &histogram(const std::string &name);
 
     const std::string &name() const { return name_; }
     const std::vector<std::unique_ptr<Group>> &children() const
@@ -100,11 +87,6 @@ class Group
         return children_;
     }
     const std::vector<Stat> &stats() const { return stats_; }
-    const std::vector<std::pair<std::string, std::string>> &
-    labels() const
-    {
-        return labels_;
-    }
 
     /** Find a registered stat by name; nullptr if absent. */
     const Stat *find(const std::string &name) const;
@@ -112,13 +94,11 @@ class Group
     void dumpJson(JsonWriter &json) const;
 
   private:
-    Stat &add(const std::string &name, const std::string &desc,
-              StatKind kind);
+    Stat &add(const std::string &name, StatKind kind);
 
     std::string name_;
     std::vector<Stat> stats_;
     std::vector<std::unique_ptr<Group>> children_;
-    std::vector<std::pair<std::string, std::string>> labels_;
 };
 
 /** Root of one stats hierarchy. */

@@ -8,7 +8,7 @@
  *
  *  - onEpoch(): at every epoch boundary, the delta of all
  *    NVSIM_PERF_COUNTER_FIELDS counters, per channel, is split across
- *    fixed simulated-time windows (default 1 ms, --telemetry-window=).
+ *    fixed simulated-time windows (1 ms for the benches).
  *    An epoch straddling a window boundary contributes fractionally,
  *    proportional to its time overlap with each window, so windowed
  *    counters conserve the exact totals and window rates are
@@ -57,7 +57,7 @@ struct TelemetryOptions
     std::string csvPath;   //!< --telemetry= windowed series CSV
     std::string jsonPath;  //!< --telemetry-json= nvsim-telemetry-v1
     std::string sloSpec;   //!< --slo= objective spec (slo.hh grammar)
-    double windowSeconds = 1e-3;    //!< --telemetry-window=
+    double windowSeconds = 1e-3;    //!< window length (tests vary it)
     std::size_t ringWindows = 4096; //!< --telemetry-ring= (0 = all)
 
     /** Session provenance, embedded in every artifact (manifest.hh). */

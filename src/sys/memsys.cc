@@ -6,6 +6,7 @@
 #include "core/logging.hh"
 #include "core/rng.hh"
 #include "obs/causal.hh"
+#include "obs/manifest.hh"
 #include "obs/observer.hh"
 #include "obs/telemetry/telemetry.hh"
 
@@ -17,11 +18,16 @@ namespace
 /** Process-wide engine default for new systems (--per-line flag). */
 bool g_batched_default = true;
 
-/** Provenance digest of the full config (any knob changes the hash). */
+/**
+ * Provenance digest of the config's non-default values: any knob
+ * change moves the hash, a key added at its default does not.
+ */
 obs::ConfigDigest
 configDigest(const SystemConfig &config)
 {
-    return {obs::digestHex(obs::fnv1a64(config.toJson())),
+    static const std::string kDefaults = SystemConfig{}.toJson();
+    return {obs::digestHex(
+                obs::configDigestHash(config.toJson(), kDefaults)),
             memoryModeName(config.mode), config.scale};
 }
 } // namespace
@@ -105,8 +111,6 @@ MemorySystem::attachObserver(obs::Observer *observer)
     if (!obs_)
         return;
 
-    obs_->setProvenance(configDigest(config_));
-
     // If the observer dies first, it must unwire our pointers to it.
     obs_->setDetachHook([this] { detachObserver(); });
 
@@ -115,29 +119,27 @@ MemorySystem::attachObserver(obs::Observer *observer)
     obs::Group &root = obs_->root();
 
     obs::Group &sys = root.child("sys");
-    sys.formula("sim_seconds", "simulated seconds elapsed",
-                [this] { return now_; });
-    sys.formula("active_threads", "current demand-model thread count",
+    sys.formula("sim_seconds", [this] { return now_; });
+    sys.formula("active_threads",
                 [this] { return static_cast<double>(activeThreads_); });
+    // Media bytes written per demand byte, all DIMMs.
     sys.formula("nvram_write_amplification",
-                "media bytes written per demand byte, all DIMMs",
                 [this] { return nvramWriteAmplification(); });
 
     obs::Group &llc = root.child("llc");
-    llc.formula("hits", "LLC hits",
+    llc.formula("hits",
                 [this] { return static_cast<double>(llc_.hitCount()); });
-    llc.formula("misses", "LLC misses (loads and store RFOs)", [this] {
-        return static_cast<double>(llc_.missCount());
+    // Loads and store RFOs.
+    llc.formula("misses",
+                [this] { return static_cast<double>(llc_.missCount()); });
+    llc.formula("dirty_evictions", [this] {
+        return static_cast<double>(llc_.dirtyEvictionCount());
     });
-    llc.formula("dirty_evictions", "dirty LLC victims written back",
-                [this] {
-                    return static_cast<double>(llc_.dirtyEvictionCount());
-                });
-    llc.formula("nt_invalidates",
-                "lines invalidated by nontemporal stores", [this] {
-                    return static_cast<double>(llc_.ntInvalidateCount());
-                });
-    llc.formula("hit_rate", "LLC hits per access", [this] {
+    // Lines invalidated by nontemporal stores.
+    llc.formula("nt_invalidates", [this] {
+        return static_cast<double>(llc_.ntInvalidateCount());
+    });
+    llc.formula("hit_rate", [this] {
         std::uint64_t total = llc_.hitCount() + llc_.missCount();
         return total ? static_cast<double>(llc_.hitCount()) /
                            static_cast<double>(total)
@@ -145,9 +147,7 @@ MemorySystem::attachObserver(obs::Observer *observer)
     });
 
     for (unsigned i = 0; i < numChannels(); ++i) {
-        obs::Group &imc = root.child("imc" + std::to_string(i));
-        imc.label("channel", std::to_string(i));
-        channels_[i].regStats(imc);
+        channels_[i].regStats(root.child("imc" + std::to_string(i)));
     }
 }
 

@@ -391,7 +391,6 @@ TEST(CausalSession, WritesAttributionFoldedAndFlowFiles)
     opts.causalJsonPath = dir + "causal_attr.json";
     opts.foldedPath = dir + "causal_folded.txt";
     opts.causalSamplePeriod = 4;
-    opts.causalSeed = 11;
     {
         obs::Session session(opts);
         MemorySystem sys(smallCfg());

@@ -3,8 +3,9 @@
  * Differential-telemetry tests: a self-diff of identical artifacts is
  * empty; an injected counter perturbation is detected, localized to
  * its window/channel, and blamed on the right counter family; manifest
- * mismatches are diagnostics rather than crashes; and rank diffs over
- * reconstructed sketches are exact at bucket resolution.
+ * mismatches are diagnostics rather than crashes; the config hash
+ * moves with any value but not with a key at its default; and rank
+ * diffs over reconstructed sketches are exact at bucket resolution.
  */
 
 #include <gtest/gtest.h>
@@ -172,7 +173,6 @@ TEST(Diff, ManifestMismatchIsDiagnosticNotFatal)
 {
     TelDoc a = docOf(steadyRun("r", 4));
     TelDoc b = docOf(steadyRun("r", 4));
-    b.manifest.causalSeed = 7;
     b.manifest.flags = {"--per-line"};
     b.runs[0].config.hash = "0x0123456789abcdef";
 
@@ -187,9 +187,63 @@ TEST(Diff, ManifestMismatchIsDiagnosticNotFatal)
     std::string all;
     for (const std::string &d : report.diagnostics)
         all += d + "\n";
-    EXPECT_NE(all.find("seed"), std::string::npos);
     EXPECT_NE(all.find("flags"), std::string::npos);
     EXPECT_NE(all.find("config hash"), std::string::npos);
+}
+
+TEST(Manifest, ConfigHashCoversOnlyNonDefaultValues)
+{
+    const std::string defaults = SystemConfig{}.toJson();
+    SystemConfig c;
+    c.mode = MemoryMode::TwoLm;
+    c.scale = 8192;
+    c.maintenance.refresh.trefi = 7.8e-6;
+    const std::string config = c.toJson();
+    const std::uint64_t hash = configDigestHash(config, defaults);
+    EXPECT_NE(hash, configDigestHash(defaults, defaults));
+
+    // A key removed (or, read the other way, added) at its default
+    // value in both documents leaves the hash unchanged: top level and
+    // nested alike.
+    auto erase = [](std::string text, const std::string &member) {
+        std::size_t at = text.find(member);
+        EXPECT_NE(at, std::string::npos) << member;
+        return text.erase(at, member.size());
+    };
+    for (const std::string &key : {std::string(",\"page_seed\":1"),
+                                   std::string(",\"trfc\":3.5e-07")}) {
+        std::string trimmed = erase(config, key);
+        std::string trimmed_defaults = erase(defaults, key);
+        ASSERT_NE(trimmed, config);
+        EXPECT_EQ(configDigestHash(trimmed, trimmed_defaults), hash)
+            << key;
+    }
+
+    // Changing any one leaf value — each number, string and bool in
+    // turn — changes the hash.
+    unsigned leaves = 0;
+    for (std::size_t colon = config.find("\":");
+         colon != std::string::npos;
+         colon = config.find("\":", colon + 2)) {
+        std::size_t at = colon + 2;
+        if (config[at] == '{')
+            continue;  // a nested block, not a leaf
+        std::size_t end = config[at] == '"'
+                              ? config.find('"', at + 1) + 1
+                              : config.find_first_of(",}", at);
+        const std::string value = config.substr(at, end - at);
+        std::string other = value == "true"    ? "false"
+                            : value == "false" ? "true"
+                            : value[0] == '"'  ? "\"changed\""
+                            : value == "7"     ? "8"
+                                               : "7";
+        std::string edited = config;
+        edited.replace(at, value.size(), other);
+        EXPECT_NE(configDigestHash(edited, defaults), hash)
+            << config.substr(colon, end - colon);
+        ++leaves;
+    }
+    EXPECT_GT(leaves, 40u);
 }
 
 TEST(Diff, WindowGeometryMismatchIsIncomparable)
@@ -359,8 +413,8 @@ TEST(DiffEndToEnd, ExportedArtifactSelfDiffsEmpty)
 TEST(DiffEndToEnd, LoadsManifestsWithUnknownKeys)
 {
     // Documents written before a key was retired still carry it: a
-    // manifest key, and the per-run "anomalies" list of the retired
-    // online detector. The reader ignores keys it does not know and
+    // manifest key, the manifest's old "causal_seed", and the per-run
+    // "anomalies" list of the retired online detector. The reader ignores keys it does not know and
     // keeps the rest, so the edited document self-diffs empty against
     // the one it was edited from.
     std::string dir = ::testing::TempDir();
@@ -374,7 +428,7 @@ TEST(DiffEndToEnd, LoadsManifestsWithUnknownKeys)
     ASSERT_NE(man, std::string::npos);
     std::size_t at = text.find("\"window_s\":", man);
     ASSERT_NE(at, std::string::npos);
-    text.insert(at, "\"retired_yardstick\":0.25,");
+    text.insert(at, "\"retired_yardstick\":0.25,\"causal_seed\":7,");
     const std::string anomalies =
         "\"anomalies\":[{\"window\":2,\"metric\":\"eff_gbs\","
         "\"value\":0,\"expected\":10,\"z\":9}],";

@@ -1,10 +1,10 @@
 /**
  * @file
- * Observability-layer tests: histogram bucket boundaries/overflow/
- * merge, Prometheus name/label handling, registry dump round-trips,
- * and the end-to-end property the layer exists for — a dirty-miss 2LM
- * workload showing its 4-5 device accesses per store as histogram
- * mass (Table I as a distribution).
+ * Observability-layer tests: the registry's exact JSON dump, Perfetto
+ * export, and the end-to-end property the layer exists for — a
+ * dirty-miss 2LM workload showing its 5 device accesses per store as
+ * histogram mass (Table I as a distribution). The histogram itself,
+ * LatencySketch, is tested in test_telemetry.cc.
  */
 
 #include <gtest/gtest.h>
@@ -12,163 +12,17 @@
 #include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "kernels/kernels.hh"
-#include "obs/histogram.hh"
 #include "obs/json.hh"
 #include "obs/observer.hh"
 #include "obs/perfetto.hh"
-#include "obs/prometheus.hh"
 #include "obs/session.hh"
 #include "obs/stats.hh"
 
 using namespace nvsim;
-
-// --------------------------------------------------------------------
-// Log2Histogram
-
-TEST(Histogram, PlainLog2Boundaries)
-{
-    obs::Log2Histogram h(8, 2);
-    // Buckets: 0, 1, [2,4), [4,8), [8,16), [16,32), [32,64), overflow.
-    EXPECT_EQ(h.bucketFor(0), 0u);
-    EXPECT_EQ(h.bucketFor(1), 1u);
-    EXPECT_EQ(h.bucketFor(2), 2u);
-    EXPECT_EQ(h.bucketFor(3), 2u);
-    EXPECT_EQ(h.bucketFor(4), 3u);
-    EXPECT_EQ(h.bucketFor(7), 3u);
-    EXPECT_EQ(h.bucketFor(8), 4u);
-    EXPECT_EQ(h.bucketFor(63), 6u);
-    EXPECT_EQ(h.bucketFor(64), 7u);  // overflow bucket
-
-    EXPECT_EQ(h.bucketLow(2), 2u);
-    EXPECT_EQ(h.bucketHigh(2), 4u);
-    EXPECT_EQ(h.bucketLow(6), 32u);
-    EXPECT_EQ(h.bucketHigh(6), 64u);
-    EXPECT_EQ(h.bucketHigh(7), UINT64_MAX);
-}
-
-TEST(Histogram, LinearRegionKeepsSmallValuesExact)
-{
-    // linear=16: values 0..15 land in their own bucket — the layout
-    // used for device-access counts, where 4 vs 5 matters (Table I).
-    obs::Log2Histogram h(20, 16);
-    for (std::uint64_t v = 0; v < 16; ++v)
-        EXPECT_EQ(h.bucketFor(v), v) << v;
-    EXPECT_EQ(h.bucketFor(16), 16u);
-    EXPECT_EQ(h.bucketFor(31), 16u);  // [16,32)
-    EXPECT_EQ(h.bucketFor(32), 17u);  // [32,64)
-    EXPECT_EQ(h.bucketLow(16), 16u);
-    EXPECT_EQ(h.bucketHigh(16), 32u);
-}
-
-TEST(Histogram, OverflowBucketIsClamped)
-{
-    obs::Log2Histogram h(6, 2);
-    h.sample(UINT64_MAX);
-    h.sample(1u << 30);
-    EXPECT_EQ(h.bucketCount(5), 2u);
-    EXPECT_EQ(h.bucketHigh(5), UINT64_MAX);
-    EXPECT_EQ(h.count(), 2u);
-    EXPECT_EQ(h.max(), UINT64_MAX);
-}
-
-TEST(Histogram, SampleTracksMoments)
-{
-    obs::Log2Histogram h(16, 2);
-    h.sample(3);
-    h.sample(5, 2);  // weighted sample
-    EXPECT_EQ(h.count(), 3u);
-    EXPECT_EQ(h.sum(), 13u);
-    EXPECT_EQ(h.min(), 3u);
-    EXPECT_EQ(h.max(), 5u);
-    EXPECT_DOUBLE_EQ(h.mean(), 13.0 / 3.0);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.min(), 0u);
-    EXPECT_EQ(h.max(), 0u);
-}
-
-TEST(Histogram, MergeAddsBucketwise)
-{
-    obs::Log2Histogram a(8, 2), b(8, 2);
-    a.sample(1);
-    a.sample(100);
-    b.sample(1, 3);
-    b.sample(2);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 6u);
-    EXPECT_EQ(a.bucketCount(1), 4u);
-    EXPECT_EQ(a.bucketCount(2), 1u);
-    EXPECT_EQ(a.min(), 1u);
-    EXPECT_EQ(a.max(), 100u);
-}
-
-TEST(Histogram, MergeRejectsLayoutMismatch)
-{
-    obs::Log2Histogram a(8, 2), b(8, 4);
-    EXPECT_DEATH(a.merge(b), "layout");
-}
-
-TEST(Histogram, RejectsBadLinearRegion)
-{
-    EXPECT_DEATH(obs::Log2Histogram(8, 3), "power of two");
-    EXPECT_DEATH(obs::Log2Histogram(4, 8), "buckets for a linear");
-}
-
-// --------------------------------------------------------------------
-// Prometheus formatting
-
-TEST(Prometheus, SanitizesMetricNames)
-{
-    EXPECT_EQ(obs::promSanitizeName("dram_read"), "dram_read");
-    EXPECT_EQ(obs::promSanitizeName("imc0.cache"), "imc0_cache");
-    EXPECT_EQ(obs::promSanitizeName("a-b c%d"), "a_b_c_d");
-    EXPECT_EQ(obs::promSanitizeName("2lm_hits"), "_2lm_hits");
-    EXPECT_EQ(obs::promSanitizeName("ok:colon"), "ok:colon");
-}
-
-TEST(Prometheus, EscapesLabelValues)
-{
-    EXPECT_EQ(obs::promEscapeLabel("plain"), "plain");
-    EXPECT_EQ(obs::promEscapeLabel("a\"b"), "a\\\"b");
-    EXPECT_EQ(obs::promEscapeLabel("a\\b"), "a\\\\b");
-    EXPECT_EQ(obs::promEscapeLabel("a\nb"), "a\\nb");
-}
-
-TEST(Prometheus, WritesScalarsFormulasAndHistograms)
-{
-    obs::Registry reg;
-    obs::Group &g = reg.root().child("imc0");
-    g.label("channel", "0");
-    g.scalar("reads", "read count").add(7);
-    g.formula("rate", "a live value", [] { return 2.5; });
-    obs::Log2Histogram &h = g.histogram("lat", "latency", 8, 2);
-    h.sample(1, 2);
-    h.sample(5);
-
-    std::ostringstream os;
-    obs::writePrometheus(reg, os, "nvsim", "run=\"r1\"");
-    std::string text = os.str();
-
-    // Scalars are counters and carry the conventional _total suffix.
-    EXPECT_NE(text.find("# TYPE nvsim_imc0_reads_total counter"),
-              std::string::npos);
-    // Extra (session-level) labels render first, then group labels.
-    EXPECT_NE(
-        text.find("nvsim_imc0_reads_total{run=\"r1\",channel=\"0\"} 7"),
-        std::string::npos);
-    EXPECT_NE(text.find("# TYPE nvsim_imc0_rate gauge"),
-              std::string::npos);
-    EXPECT_NE(text.find("# TYPE nvsim_imc0_lat histogram"),
-              std::string::npos);
-    // Cumulative buckets: le="1" covers values <= 1 (2 samples); the
-    // +Inf bucket equals the total count.
-    EXPECT_NE(text.find("le=\"1\"} 2"), std::string::npos);
-    EXPECT_NE(text.find("le=\"+Inf\"} 3"), std::string::npos);
-    EXPECT_NE(text.find("nvsim_imc0_lat_sum"), std::string::npos);
-    EXPECT_NE(text.find("nvsim_imc0_lat_count"), std::string::npos);
-}
 
 // --------------------------------------------------------------------
 // Registry / JSON
@@ -176,28 +30,34 @@ TEST(Prometheus, WritesScalarsFormulasAndHistograms)
 TEST(StatsRegistry, DuplicateRegistrationPanics)
 {
     obs::Registry reg;
-    reg.root().scalar("x", "a");
-    EXPECT_DEATH(reg.root().scalar("x", "again"), "registered twice");
+    reg.root().scalar("x");
+    EXPECT_DEATH(reg.root().scalar("x"), "registered twice");
 }
 
 TEST(StatsRegistry, DumpJsonIsWellFormedAndNested)
 {
     obs::Registry reg;
     obs::Group &sys = reg.root().child("sys");
-    sys.scalar("events", "event count").add(3);
-    sys.formula("ratio", "live", [] { return 0.5; });
-    obs::Log2Histogram &h = sys.histogram("acc", "accesses", 20, 16);
-    h.sample(5, 10);
+    sys.scalar("events").add(3);
+    sys.formula("ratio", [] { return 0.5; });
+    obs::LatencySketch &h = sys.histogram("acc");
+    for (std::uint64_t v = 1; v <= 5; ++v)
+        h.add(v);
 
     std::ostringstream os;
     reg.dumpJson(os);
-    std::string json = os.str();
-    EXPECT_NE(json.find("\"sys\""), std::string::npos);
-    EXPECT_NE(json.find("\"events\":3"), std::string::npos);
-    EXPECT_NE(json.find("\"ratio\":0.5"), std::string::npos);
-    // Histogram serialization keeps exact bucket bounds.
-    EXPECT_NE(json.find("\"lo\":5"), std::string::npos);
-    EXPECT_NE(json.find("\"count\":10"), std::string::npos);
+    // The histogram object is the contract the CI obs smoke reads:
+    // count/sum/min/max/mean, then one exact {lo, hi, count} bucket
+    // per sampled value below 64, zero buckets omitted.
+    EXPECT_EQ(os.str(),
+              "{\"sys\":{\"events\":3,\"ratio\":0.5,"
+              "\"acc\":{\"count\":5,\"sum\":15,\"min\":1,\"max\":5,"
+              "\"mean\":3,\"buckets\":["
+              "{\"lo\":1,\"hi\":2,\"count\":1},"
+              "{\"lo\":2,\"hi\":3,\"count\":1},"
+              "{\"lo\":3,\"hi\":4,\"count\":1},"
+              "{\"lo\":4,\"hi\":5,\"count\":1},"
+              "{\"lo\":5,\"hi\":6,\"count\":1}]}}}\n");
 }
 
 TEST(Json, EscapesControlAndQuoteCharacters)
@@ -285,10 +145,11 @@ TEST(ObserverEndToEnd, DirtyMissWorkloadShowsTableOneAccessCounts)
                               .find("device_accesses");
     ASSERT_NE(st, nullptr);
     ASSERT_NE(st->histogram, nullptr);
-    const obs::Log2Histogram &h = *st->histogram;
+    const obs::LatencySketch &h = *st->histogram;
     EXPECT_GT(h.count(), 0u);
-    EXPECT_GT(h.bucketCount(5), 0u);  // exact bucket: 5 accesses
-    EXPECT_EQ(h.bucketCount(5), h.count());
+    // One exact bucket holds every sample: 5 accesses.
+    using Buckets = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
+    EXPECT_EQ(h.sparse(), (Buckets{{5, h.count()}}));
     EXPECT_EQ(h.min(), 5u);
     EXPECT_EQ(h.max(), 5u);
 
@@ -305,10 +166,6 @@ TEST(ObserverEndToEnd, DirtyMissWorkloadShowsTableOneAccessCounts)
     std::string json = obs.statsJson();
     EXPECT_NE(json.find("\"imc0\""), std::string::npos);
     EXPECT_NE(json.find("\"tag_miss_dirty\""), std::string::npos);
-    std::string prom = obs.statsProm();
-    EXPECT_NE(prom.find("run=\"4b\""), std::string::npos);
-    EXPECT_NE(prom.find("nvsim_requests_miss_dirty_device_accesses"),
-              std::string::npos);
 }
 
 TEST(ObserverEndToEnd, CleanReadMissesCostThreeAccesses)
@@ -333,9 +190,10 @@ TEST(ObserverEndToEnd, CleanReadMissesCostThreeAccesses)
                               .child("miss_clean")
                               .find("device_accesses");
     ASSERT_NE(st, nullptr);
-    const obs::Log2Histogram &h = *st->histogram;
+    const obs::LatencySketch &h = *st->histogram;
     EXPECT_GT(h.count(), 0u);
-    EXPECT_EQ(h.bucketCount(3), h.count());
+    using Buckets = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
+    EXPECT_EQ(h.sparse(), (Buckets{{3, h.count()}}));
 }
 
 TEST(ObserverEndToEnd, ResetCountersDropsWarmupSamples)
@@ -364,7 +222,6 @@ TEST(ObserverEndToEnd, SessionWritesValidatableFiles)
     std::string dir = ::testing::TempDir();
     obs::SessionOptions opts;
     opts.statsJsonPath = dir + "obs_stats.json";
-    opts.statsPromPath = dir + "obs_stats.prom";
     opts.perfettoPath = dir + "obs_trace.json";
     {
         obs::Session session(opts);
@@ -394,8 +251,6 @@ TEST(ObserverEndToEnd, SessionWritesValidatableFiles)
     std::string stats = slurp(opts.statsJsonPath);
     EXPECT_NE(stats.find("\"label\":\"run_a\""), std::string::npos);
     EXPECT_NE(stats.find("\"label\":\"run_b\""), std::string::npos);
-    std::string prom = slurp(opts.statsPromPath);
-    EXPECT_NE(prom.find("run=\"run_a\""), std::string::npos);
     std::string trace = slurp(opts.perfettoPath);
     EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(trace.find("run_a"), std::string::npos);

@@ -168,8 +168,6 @@ cmdManifest(const std::vector<std::string> &args)
             flags += (flags.empty() ? "" : " ") + f;
         std::printf("  flags: %s\n",
                     flags.empty() ? "<none>" : flags.c_str());
-        std::printf("  causal_seed: %llu\n",
-                    static_cast<unsigned long long>(m.causalSeed));
     }
     for (const TelRun &run : doc.runs) {
         std::printf("run '%s': %u channel(s), %zu window(s)",
